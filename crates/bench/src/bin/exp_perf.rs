@@ -19,8 +19,11 @@
 //! runners.
 //!
 //! The smoke mode sanity-checks the run: the feasible plan count must be
-//! identical across thread counts and the warm-started tuner must not
-//! launch more probe searches than the cold one.
+//! identical across thread counts; the warm-started tuner must reach the
+//! cold tuner's thresholds, per-dimension minima and iteration count
+//! without launching more probe searches; and an auto-tuned (decision)
+//! search, which its full store bounds, must store exactly the plans of
+//! the same search with the tuned thresholds made explicit.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -36,6 +39,12 @@ use capsys_util::json::{obj, Json};
 
 /// Hard floor on the 4-thread speedup when ≥ 4 hardware threads exist.
 const MIN_SPEEDUP_4T: f64 = 1.5;
+
+/// Plan-store cap of the decision-search check. The tuned thresholds
+/// leave only a handful of feasible plans on the smoke topology, so a
+/// cap of one (as the Table 2 runs use) is what makes the store fill and
+/// the bound cut.
+const DECISION_MAX_PLANS: usize = 1;
 
 /// Network threshold for the symmetric-topology memo section. CPU and
 /// I/O are symmetric there (every complete plan balances them exactly),
@@ -246,6 +255,21 @@ fn main() {
         warm.thresholds, cold.thresholds,
         "warm-start must not change the tuned thresholds"
     );
+    assert_eq!(
+        warm.per_dimension, cold.per_dimension,
+        "warm-start must not change the per-dimension minima"
+    );
+    assert_eq!(
+        warm.iterations, cold.iterations,
+        "warm-start must not change the probe sequence"
+    );
+    for (label, report) in [("warm", &warm), ("cold", &cold)] {
+        assert_eq!(
+            report.probe_searches + report.cache_hits,
+            report.iterations,
+            "{label} tune: every probe is a search or a cache hit"
+        );
+    }
     assert!(
         warm.probe_searches <= cold.probe_searches,
         "warm-start launched more searches ({}) than cold ({})",
@@ -255,6 +279,46 @@ fn main() {
     println!(
         "auto-tune: warm {:.1} ms ({} searches + {} cache hits), cold {:.1} ms ({} searches)",
         warm_ms, warm.probe_searches, warm.cache_hits, cold_ms, cold.probe_searches
+    );
+
+    // --- Store-bounded decision search ----------------------------------
+    // An auto-tuned search cuts branches costlier than the worst plan of
+    // its full store; the explicit-threshold run at the same cap walks
+    // the whole pruned tree. Both must store the same plans in the same
+    // order.
+    let decision_cfg = SearchConfig {
+        max_plans: DECISION_MAX_PLANS,
+        ..SearchConfig::auto_tuned()
+    };
+    let decided = search.run(&decision_cfg).expect("decision search runs");
+    let explicit = search
+        .run_with_thresholds(
+            &decided.thresholds,
+            &SearchConfig {
+                thresholds: Some(decided.thresholds),
+                ..decision_cfg
+            },
+        )
+        .expect("explicit-threshold search runs");
+    assert!(
+        !decided.feasible.is_empty(),
+        "decision search stored no plan"
+    );
+    assert_eq!(
+        decided.feasible, explicit.feasible,
+        "decision search stored different plans than the explicit-threshold run"
+    );
+    assert!(
+        decided.stats.nodes <= explicit.stats.nodes,
+        "the store bound added nodes"
+    );
+    println!(
+        "decision search: {} nodes ({} plans reached) vs explicit {} nodes ({} plans), {} stored",
+        decided.stats.nodes,
+        decided.stats.plans_found,
+        explicit.stats.nodes,
+        explicit.stats.plans_found,
+        decided.feasible.len()
     );
 
     // --- Speedup gate ----------------------------------------------------
@@ -450,6 +514,23 @@ fn main() {
             ]),
         ),
         (
+            "decision_search",
+            obj(vec![
+                ("stored_plans", Json::Num(decided.feasible.len() as f64)),
+                ("decision_nodes", Json::Num(decided.stats.nodes as f64)),
+                ("explicit_nodes", Json::Num(explicit.stats.nodes as f64)),
+                (
+                    "decision_plans_found",
+                    Json::Num(decided.stats.plans_found as f64),
+                ),
+                (
+                    "explicit_plans_found",
+                    Json::Num(explicit.stats.plans_found as f64),
+                ),
+                ("identical_store", Json::Bool(true)),
+            ]),
+        ),
+        (
             "determinism",
             obj(vec![
                 ("plans_found", Json::Num(plan_counts[0] as f64)),
@@ -474,6 +555,7 @@ fn main() {
         "speedup",
         "symmetric_memo",
         "autotune",
+        "decision_search",
         "determinism",
     ] {
         assert!(

@@ -17,16 +17,42 @@
 //! A configurable timeout bounds the total tuning time; hitting it
 //! returns [`CapsError::AutoTuneTimeout`].
 //!
-//! Both phases are **warm-started** (on by default): every feasibility
-//! probe that finds a witness plan caches the witness's cost vector, and
-//! every probe that comes up empty caches the threshold vector it failed
-//! under. Feasibility is monotone in `α⃗`, so a later probe whose
-//! thresholds admit a cached witness is feasible without searching, and
-//! one whose thresholds are component-wise tighter than a cached failure
-//! is infeasible without searching. Each cache hit replaces an entire
-//! first-feasible search with an O(1) check.
+//! Both phases are **warm-started** (on by default), so most probes are
+//! answered without a search:
+//!
+//! * **Witnesses.** A probe that finds a plan caches its cost vector; a
+//!   later probe whose thresholds admit a cached witness is feasible.
+//!   This answer is exact about feasibility, but a cold probe under the
+//!   same thresholds could still run out of its node budget before it
+//!   reaches any plan and report "infeasible".
+//! * **Failures.** A probe that comes up empty caches, per dimension, the
+//!   largest load bound up to which its answer carries over; a later
+//!   probe whose exact load bound
+//!   ([`CostModel::load_bound`](crate::cost::CostModel::load_bound))
+//!   stays within that in every dimension is infeasible. For a DFS probe that
+//!   finished, or that ran sequentially into its node budget, the cached
+//!   bound sits one mantissa below the smallest load its limit checks
+//!   rejected: loads only grow down the tree, so any bound between the
+//!   probe's own and that value walks the identical tree and gets the
+//!   identical answer — budget abort included, which lands on the same
+//!   node — and any tighter bound walks a subtree. This answer equals
+//!   the cold tuner's. For MCTS probes, time-budget aborts and parallel
+//!   budget aborts (schedule-dependent) the cached bound is the probe's
+//!   own, so only equal or tighter probes are answered; that is exact
+//!   for a finished walk, and a conservative early exit otherwise, like
+//!   the budget-aborted probe itself.
+//!
+//! The tuner relaxes each chain of probes monotonically, so a failure
+//! entry answers the later probes of its own chain, which sit at or
+//! above its bound; the long runs of identical infeasible searches that
+//! small relaxation steps produce become O(1) checks. Where no probe
+//! runs out of a budget, every warm answer equals the cold one, so the
+//! tuned thresholds are the cold tuner's. With `warm_start: false`
+//! every probe searches: the cold reference.
 
 use std::time::{Duration, Instant};
+
+use capsys_util::fixed::Fixed64;
 
 use crate::cost::{CostVector, Thresholds};
 use crate::error::CapsError;
@@ -56,10 +82,12 @@ pub struct AutoTuneConfig {
     /// threshold is relaxed further — a conservative early exit that
     /// keeps tuning fast on very large plan spaces.
     pub probe_node_budget: usize,
-    /// Re-validate cached witness plans (and cached infeasible threshold
-    /// vectors) before launching a probe search. Monotonicity of
-    /// feasibility in `α⃗` makes both reuses exact, so this changes the
-    /// probe *cost*, never the tuned thresholds.
+    /// Answer probes from cached witness plans and cached failures before
+    /// launching a probe search (see the module docs). A failure answer
+    /// is the answer the cold search would give; a witness answer is
+    /// exact about feasibility, and differs from a cold probe only where
+    /// that probe would have run out of its node budget first. `false`
+    /// searches every probe: the cold reference.
     pub warm_start: bool,
 }
 
@@ -100,9 +128,10 @@ struct ProbeCache {
     /// Cost vectors of witness plans found by earlier probes. Any
     /// thresholds a cached witness satisfies are feasible.
     witnesses: Vec<CostVector>,
-    /// Threshold vectors earlier probes failed under. Any thresholds
-    /// component-wise tighter than a cached failure are infeasible.
-    infeasible: Vec<[f64; 3]>,
+    /// Per failed probe, the per-dimension load bounds up to which its
+    /// answer carries over. A probe whose load bound is within one entry
+    /// in every dimension is infeasible.
+    infeasible: Vec<[Fixed64; 3]>,
     searches: usize,
     hits: usize,
 }
@@ -122,25 +151,21 @@ impl ProbeCache {
                 self.hits += 1;
                 return Ok(true);
             }
-            let tightens = |u: &[f64; 3]| {
-                [th.cpu, th.io, th.net]
-                    .iter()
-                    .zip(u)
-                    .all(|(a, b)| *a <= b + 1e-12)
-            };
-            if self.infeasible.iter().any(|u| tightens(u)) {
+            let bound = search.cost_model().load_bound(th);
+            let covered = |u: &[Fixed64; 3]| bound.iter().zip(u).all(|(b, u)| b <= u);
+            if self.infeasible.iter().any(covered) {
                 self.hits += 1;
                 return Ok(false);
             }
         }
         self.searches += 1;
-        match search.find_witness(th, base, Some(deadline))? {
-            Some(w) => {
+        match search.probe(th, base, Some(deadline))? {
+            (Some(w), _) => {
                 self.witnesses.push(w.cost);
                 Ok(true)
             }
-            None => {
-                self.infeasible.push([th.cpu, th.io, th.net]);
+            (None, unchanged_up_to) => {
+                self.infeasible.push(unchanged_up_to);
                 Ok(false)
             }
         }

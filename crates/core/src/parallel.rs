@@ -38,6 +38,12 @@
 //!   `max_component` cost in an atomic cell, letting every thread prune
 //!   against the global incumbent rather than only its local one.
 //!
+//! In a decision search (`SearchConfig::thresholds` is `None`) each
+//! thread also bounds its walk by the worst plan of its own full local
+//! store. Every cut is justified by `max_plans` strictly cheaper plans in
+//! that thread's store, so no plan of the merged top-`max_plans` is lost,
+//! though `plans_found` then depends on the schedule.
+//!
 //! A worker that panics is caught, the remaining workers are stopped and
 //! joined cleanly, and the run returns [`CapsError::SearchPanicked`]
 //! instead of poisoning the whole process.
@@ -93,7 +99,9 @@ struct Shared {
 }
 
 /// Runs the search across `config.threads` threads and merges the
-/// per-thread plan caches.
+/// per-thread plan caches. Also returns the per-dimension minimum of
+/// the threads' `unchanged_up_to` limits, which describes the whole walk
+/// when it finished.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel(
     physical: &PhysicalGraph,
@@ -105,7 +113,7 @@ pub(crate) fn run_parallel(
     config: &SearchConfig,
     deadline: Option<Instant>,
     start: Instant,
-) -> Result<(Vec<ScoredPlan>, RunStats), CapsError> {
+) -> Result<(Vec<ScoredPlan>, RunStats, [Fixed64; 3]), CapsError> {
     let threads = config.threads;
     let split_cap = MAX_SPLIT_DEPTH.min(enumerator.order().len());
 
@@ -118,7 +126,7 @@ pub(crate) fn run_parallel(
     let units = enumerator.prefixes(1);
     if units.is_empty() {
         stats.elapsed = start.elapsed();
-        return Ok((Vec::new(), stats));
+        return Ok((Vec::new(), stats, [Fixed64::MAX; 3]));
     }
 
     let deques: Vec<Worker<Unit>> = (0..threads).map(|_| Worker::new_lifo()).collect();
@@ -136,6 +144,7 @@ pub(crate) fn run_parallel(
     }
 
     let mut merged: Vec<ScoredPlan> = Vec::new();
+    let mut unchanged_up_to = [Fixed64::MAX; 3];
     let mut panicked = false;
 
     std::thread::scope(|scope| {
@@ -168,7 +177,8 @@ pub(crate) fn run_parallel(
                     worker_loop(idx, &my, enumerator, split_cap, threads, shared, &mut visitor, &mut local);
                     local.aborted |= visitor.was_aborted();
                     local.memo_hits = visitor.memo_hits();
-                    (visitor.into_found(), local)
+                    let unchanged = visitor.unchanged_up_to();
+                    (visitor.into_found(), local, unchanged)
                 }));
                 shared.active.fetch_sub(1, Ordering::Release);
                 match result {
@@ -199,8 +209,11 @@ pub(crate) fn run_parallel(
 
         for h in handles {
             match h.join() {
-                Ok(Some((found, local))) => {
+                Ok(Some((found, local, unchanged))) => {
                     merged.extend(found);
+                    for (acc, u) in unchanged_up_to.iter_mut().zip(unchanged) {
+                        *acc = (*acc).min(u);
+                    }
                     stats.nodes += local.nodes;
                     stats.pruned += local.pruned;
                     stats.plans_found += local.plans_found;
@@ -221,7 +234,7 @@ pub(crate) fn run_parallel(
 
     let merged = finalize_merge(merged, config);
     stats.elapsed = start.elapsed();
-    Ok((merged, stats))
+    Ok((merged, stats, unchanged_up_to))
 }
 
 /// The per-thread scheduling loop: pop own work, steal when empty, split

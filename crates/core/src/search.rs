@@ -13,6 +13,10 @@
 //! * **exploration reordering** (§4.4.2) — operators with the highest
 //!   normalized resource consumption are explored first so that costly
 //!   branches hit the threshold near the root.
+//! * **store bounding** — in a decision search (`thresholds: None`), once
+//!   the plan store is full, a branch already costlier than the worst
+//!   stored plan is cut by the same monotonicity: it holds only plans
+//!   the store would reject.
 
 use std::time::{Duration, Instant};
 
@@ -28,7 +32,9 @@ use crate::error::CapsError;
 use crate::mcts::MctsReport;
 use crate::memo::{fnv1a64, MemoSetup, MemoTable};
 use crate::pareto::pareto_front;
-use crate::strategy::{BackendResult, SearchBackend, SearchStrategy, StrategyContext};
+use crate::strategy::{
+    BackendResult, ParallelDfs, SearchBackend, SearchStrategy, SequentialDfs, StrategyContext,
+};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
 /// operator-reordering heuristic (reporting-side arithmetic only; the
@@ -42,6 +48,17 @@ const TIME_CHECK_MASK: usize = 0x3FF;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// Pruning thresholds; `None` runs threshold auto-tuning first (§5.2).
+    ///
+    /// `None` also marks the run as a *decision* search: one whose
+    /// caller asked the tuner for its thresholds and wants the best
+    /// plans, not a census of the feasible ones. Once a decision search's
+    /// plan store is full, the DFS cuts every branch already costlier
+    /// than the worst stored plan (no such branch holds a plan the store
+    /// would keep), so the stored plans are exactly those of the same
+    /// search with explicit thresholds while `nodes`, `pruned` and
+    /// `plans_found` shrink. `run_with_thresholds` keeps the rule when
+    /// handed a config whose `thresholds` is `None`. Explicit-threshold
+    /// runs still enumerate and count every feasible plan.
     pub thresholds: Option<Thresholds>,
     /// Explore resource-intensive operators first (§4.4.2).
     pub reorder: bool,
@@ -51,7 +68,9 @@ pub struct SearchConfig {
     pub first_feasible: bool,
     /// Maximum number of feasible plans kept in memory. Further feasible
     /// plans still count in the statistics; stored plans are replaced only
-    /// by cheaper ones.
+    /// by cheaper ones. In a decision search (`thresholds: None`) a full
+    /// store also bounds the DFS: branches costlier than the worst
+    /// stored plan are cut and their leaves never counted.
     pub max_plans: usize,
     /// Abort after visiting this many tree nodes.
     pub node_budget: Option<usize>,
@@ -183,9 +202,15 @@ pub struct ScoredPlan {
 pub struct RunStats {
     /// Search tree nodes visited.
     pub nodes: usize,
-    /// Branches pruned (threshold violations and budget aborts).
+    /// Branches pruned (threshold violations and budget aborts; in a
+    /// decision search also branches costlier than a full store's worst
+    /// plan).
     pub pruned: usize,
-    /// Feasible plans discovered (including ones not stored).
+    /// Feasible plans discovered (including ones not stored). A decision
+    /// search (`SearchConfig::thresholds` is `None`) counts only the
+    /// leaves it reached: once its store is full it skips branches that
+    /// cannot enter the store, so this is a lower bound on the feasible
+    /// plan count, not the count itself.
     pub plans_found: usize,
     /// Subtrees skipped by the dead-state memo. Hits depend on the
     /// exploration schedule across threads (which sibling proved a state
@@ -430,12 +455,27 @@ pub(crate) struct CapsVisitor<'a> {
     /// Shared best-so-far `max_component` cost (f64 bits), for
     /// incumbent-bound pruning across threads.
     incumbent: Option<&'a std::sync::atomic::AtomicU64>,
-    /// Cached incumbent bits, to avoid re-deriving load limits when the
-    /// shared value has not moved.
-    incumbent_bits: u64,
-    /// Per-dimension exact load limits implied by the incumbent cost.
+    /// The cost `incumbent_limit` was last derived from, so limits are
+    /// re-derived only when the incumbent or the worst stored cost falls.
+    limit_cost: f64,
+    /// Per-dimension exact load limits implied by the incumbent cost
+    /// and, in a decision search, by the worst plan of a full store —
+    /// the smaller of the two. Both only ever tighten.
     incumbent_limit: [Fixed64; 3],
+    /// Whether a full store bounds the search (decision searches only).
+    store_bound: bool,
+    /// Per dimension, the largest load limit under which every limit
+    /// check this walk evaluated keeps its answer: one mantissa below the
+    /// smallest load a check rejected (`MAX` if none was rejected).
+    /// Loads only grow down the tree and with the task count, so a
+    /// rejected load stays rejected under any limit below it; a search
+    /// whose bound lies between this walk's bound and this value walks
+    /// the same tree.
+    unchanged_up_to: [Fixed64; 3],
     aborted: bool,
+    /// Whether the abort was the node budget running out — the one abort
+    /// that lands on the same node whenever the same tree is walked.
+    budget_spent: bool,
     // Dead-state memoization.
     memo: Option<&'a MemoSetup>,
     /// One entry per active `enter_layer`: the state's hash and
@@ -486,9 +526,12 @@ impl<'a> CapsVisitor<'a> {
             deadline_flag: None,
             stop_flag,
             incumbent: None,
-            incumbent_bits: f64::INFINITY.to_bits(),
+            limit_cost: f64::INFINITY,
             incumbent_limit: [Fixed64::MAX; 3],
+            store_bound: config.thresholds.is_none(),
+            unchanged_up_to: [Fixed64::MAX; 3],
             aborted: false,
+            budget_spent: false,
             memo: None,
             memo_stack: Vec::new(),
             plans_seen: 0,
@@ -581,15 +624,22 @@ impl<'a> CapsVisitor<'a> {
     /// Re-derives the per-dimension load limits from the shared incumbent
     /// if it has improved since the last look.
     fn refresh_incumbent(&mut self) {
-        let Some(cell) = self.incumbent else {
-            return;
-        };
-        let bits = cell.load(std::sync::atomic::Ordering::Relaxed);
-        if bits == self.incumbent_bits {
+        if let Some(cell) = self.incumbent {
+            self.tighten_limit(f64::from_bits(
+                cell.load(std::sync::atomic::Ordering::Relaxed),
+            ));
+        }
+    }
+
+    /// Lowers the per-dimension load limits to those of `cost`, if that
+    /// is below the cost they were last derived from: a branch whose
+    /// partial load already costs more than `cost` holds only leaves
+    /// costlier than it.
+    fn tighten_limit(&mut self, cost: f64) {
+        if cost >= self.limit_cost {
             return;
         }
-        self.incumbent_bits = bits;
-        let cost = f64::from_bits(bits);
+        self.limit_cost = cost;
         for dim in 0..3 {
             self.incumbent_limit[dim] = self.model.cost_to_load(dim, cost);
         }
@@ -608,6 +658,16 @@ impl<'a> CapsVisitor<'a> {
     /// Whether this visitor stopped early on a budget or stop flag.
     pub(crate) fn was_aborted(&self) -> bool {
         self.aborted
+    }
+
+    /// Whether the abort, if any, was the node budget running out.
+    pub(crate) fn budget_spent(&self) -> bool {
+        self.budget_spent
+    }
+
+    /// See the `unchanged_up_to` field.
+    pub(crate) fn unchanged_up_to(&self) -> [Fixed64; 3] {
+        self.unchanged_up_to
     }
 
     /// Switches the visitor to raw (partial-plan) capture.
@@ -675,6 +735,7 @@ impl<'a> CapsVisitor<'a> {
         }
         if self.nodes > self.node_budget {
             self.aborted = true;
+            self.budget_spent = true;
             return true;
         }
         if self.nodes & TIME_CHECK_MASK == 0 {
@@ -839,16 +900,7 @@ impl<'a> CapsVisitor<'a> {
         // that does not beat the cached worst entry is rejected before
         // materializing a `Placement`.
         if self.found.len() == self.max_plans {
-            let idx = match self.worst_idx {
-                Some(idx) => idx,
-                None => {
-                    let idx = (0..self.found.len())
-                        .max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]))
-                        .unwrap_or(0);
-                    self.worst_idx = Some(idx);
-                    idx
-                }
-            };
+            let idx = self.worst_index();
             let worst = &self.found[idx];
             // Cheap pre-screen on cost alone before building the plan:
             // strictly worse than the worst stored cost can never win
@@ -867,6 +919,7 @@ impl<'a> CapsVisitor<'a> {
             if cmp_scored(&scored, worst) == std::cmp::Ordering::Less {
                 self.found[idx] = scored;
                 self.worst_idx = None;
+                self.bound_by_store();
             }
         } else {
             let plan = match Placement::from_op_counts(self.physical, counts) {
@@ -875,6 +928,37 @@ impl<'a> CapsVisitor<'a> {
             };
             self.found.push(ScoredPlan { plan, cost });
             self.worst_idx = None;
+            if self.found.len() == self.max_plans {
+                self.bound_by_store();
+            }
+        }
+    }
+
+    /// Index of the worst stored plan under [`cmp_scored`], cached until
+    /// the store next changes.
+    fn worst_index(&mut self) -> usize {
+        match self.worst_idx {
+            Some(idx) => idx,
+            None => {
+                let idx = (0..self.found.len())
+                    .max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]))
+                    .unwrap_or(0);
+                self.worst_idx = Some(idx);
+                idx
+            }
+        }
+    }
+
+    /// In a decision search, bounds the rest of the walk by the worst
+    /// plan of the (full) store. `record` rejects every leaf strictly
+    /// costlier than that plan, and the worst stored cost only falls, so
+    /// the cut branches hold only leaves the store would throw away: the
+    /// sequence of store mutations — and so the stored plans, their
+    /// order and every tie-break — is that of the unbounded walk.
+    fn bound_by_store(&mut self) {
+        if self.store_bound {
+            let idx = self.worst_index();
+            self.tighten_limit(self.found[idx].cost.max_component());
         }
     }
 }
@@ -889,16 +973,23 @@ impl PlanVisitor for CapsVisitor<'_> {
             self.refresh_incumbent();
         }
         let start = self.append_deltas(worker, op.0, count);
-        // Check Eq. 10 — and, when enabled, the incumbent bound — on
-        // every worker the deltas touch. Bounds are exact inversions of
-        // the cost predicate, so no epsilon is needed; the incumbent
-        // limit admits equality, so plans tying the best cost survive.
+        // Check Eq. 10 — and, when enabled, the incumbent or store
+        // bound — on every worker the deltas touch. Bounds are exact
+        // inversions of the cost predicate, so no epsilon is needed; the
+        // incumbent limit admits equality, so plans tying the best (or
+        // the worst stored) cost survive.
         for &(w, d) in &self.delta_arena[start..] {
             for dim in 0..3 {
                 let add = d[dim];
                 if add > Fixed64::ZERO {
                     let next = self.load[w][dim] + add;
                     if next > self.bound[dim] || next > self.incumbent_limit[dim] {
+                        // The enumerator now skips every larger count of
+                        // this operator on this worker; those would load
+                        // the same worker and dimension at least as much,
+                        // so this rejection covers them too.
+                        let below = Fixed64::from_bits(next.to_bits() - 1);
+                        self.unchanged_up_to[dim] = self.unchanged_up_to[dim].min(below);
                         self.delta_arena.truncate(start);
                         return false;
                     }
@@ -1078,11 +1169,27 @@ impl<'a> CapsSearch<'a> {
     }
 
     /// Runs the search with explicit thresholds, skipping auto-tuning.
+    ///
+    /// A `config` whose own `thresholds` is `None` still marks the run
+    /// as a decision search (see [`SearchConfig::thresholds`]).
     pub fn run_with_thresholds(
         &self,
         thresholds: &Thresholds,
         config: &SearchConfig,
     ) -> Result<SearchOutcome, CapsError> {
+        Ok(self.run_with_tree_bound(thresholds, config)?.0)
+    }
+
+    /// [`CapsSearch::run_with_thresholds`], also returning, per
+    /// dimension, the largest load bound up to which a fruitless run's
+    /// answer carries over: the DFS backend's `unchanged_up_to` when the
+    /// walk is a pure function of its limit checks, else the run's own
+    /// bound (which covers only equal or tighter bounds).
+    fn run_with_tree_bound(
+        &self,
+        thresholds: &Thresholds,
+        config: &SearchConfig,
+    ) -> Result<(SearchOutcome, [Fixed64; 3]), CapsError> {
         if config.threads == 0 {
             return Err(CapsError::InvalidConfig("threads must be >= 1".into()));
         }
@@ -1103,7 +1210,7 @@ impl<'a> CapsSearch<'a> {
         // before the first poll. Abort up front so exhausted budgets
         // behave deterministically.
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(SearchOutcome {
+            let outcome = SearchOutcome {
                 feasible: Vec::new(),
                 pareto: Vec::new(),
                 stats: RunStats {
@@ -1118,7 +1225,8 @@ impl<'a> CapsSearch<'a> {
                 pressure: self.model.pressure(),
                 anytime: Vec::new(),
                 mcts: None,
-            });
+            };
+            return Ok((outcome, bound));
         }
 
         let mut enumerator =
@@ -1156,15 +1264,22 @@ impl<'a> CapsSearch<'a> {
             deadline,
             start,
         };
-        let BackendResult {
-            plans: mut found,
-            stats,
-            anytime,
-            mcts,
-        } = match &config.backend {
-            SearchBackend::Dfs if config.threads <= 1 => crate::strategy::SequentialDfs.search(&ctx)?,
-            SearchBackend::Dfs => crate::strategy::ParallelDfs.search(&ctx)?,
-            SearchBackend::Mcts(mcfg) => crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
+        let (
+            BackendResult {
+                plans: mut found,
+                stats,
+                anytime,
+                mcts,
+            },
+            unchanged_up_to,
+        ) = match &config.backend {
+            SearchBackend::Dfs if config.threads <= 1 => SequentialDfs::run(&ctx)?,
+            SearchBackend::Dfs => ParallelDfs::run(&ctx)?,
+            // A sampled walk proves nothing about other bounds' trees.
+            SearchBackend::Mcts(mcfg) => (
+                crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
+                None,
+            ),
         };
 
         if config.incumbent_prune {
@@ -1181,7 +1296,7 @@ impl<'a> CapsSearch<'a> {
         }
 
         let pareto = pareto_front(&found);
-        Ok(SearchOutcome {
+        let outcome = SearchOutcome {
             feasible: found,
             pareto,
             stats,
@@ -1191,7 +1306,8 @@ impl<'a> CapsSearch<'a> {
             pressure: self.model.pressure(),
             anytime,
             mcts,
-        })
+        };
+        Ok((outcome, unchanged_up_to.unwrap_or(bound)))
     }
 
     /// Runs a first-feasible probe and returns the witness plan, if any.
@@ -1205,6 +1321,18 @@ impl<'a> CapsSearch<'a> {
         config: &SearchConfig,
         deadline: Option<Instant>,
     ) -> Result<Option<ScoredPlan>, CapsError> {
+        Ok(self.probe(thresholds, config, deadline)?.0)
+    }
+
+    /// [`CapsSearch::find_witness`], also returning the largest
+    /// per-dimension load bound up to which a failed probe's answer
+    /// carries over (see `CapsSearch::run_with_tree_bound`).
+    pub(crate) fn probe(
+        &self,
+        thresholds: &Thresholds,
+        config: &SearchConfig,
+        deadline: Option<Instant>,
+    ) -> Result<(Option<ScoredPlan>, [Fixed64; 3]), CapsError> {
         let mut probe = SearchConfig {
             thresholds: Some(*thresholds),
             first_feasible: true,
@@ -1221,8 +1349,8 @@ impl<'a> CapsSearch<'a> {
             }
             probe.time_budget = Some(remaining);
         }
-        let outcome = self.run_with_thresholds(thresholds, &probe)?;
-        Ok(outcome.feasible.into_iter().next())
+        let (outcome, unchanged_up_to) = self.run_with_tree_bound(thresholds, &probe)?;
+        Ok((outcome.feasible.into_iter().next(), unchanged_up_to))
     }
 
     /// Returns true if at least one plan satisfies `thresholds`.
@@ -1481,6 +1609,135 @@ mod tests {
             ..SearchConfig::exhaustive()
         };
         assert!(search.run(&bad).is_err());
+    }
+
+    #[test]
+    fn failed_probe_reports_the_bounds_of_an_unchanged_tree() {
+        // Every probe whose load bound lies between a failed probe's own
+        // bound and its reported limit walks the same tree: same node
+        // count, same (empty) answer.
+        let (g, p, c, lm) = fixture();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let config = SearchConfig::auto_tuned();
+        let model = search.cost_model();
+        let alphas: Vec<f64> = (0..60).map(|i| 0.01 * 1.1f64.powi(i)).collect();
+        let mut covered = 0;
+        for &a in &alphas {
+            let th = Thresholds::new(a, a, a);
+            let (witness, up_to) = search.probe(&th, &config, None).unwrap();
+            if witness.is_some() {
+                continue;
+            }
+            let bound = model.load_bound(&th);
+            assert!((0..3).all(|d| bound[d] <= up_to[d]));
+            let nodes = |t: &Thresholds| {
+                let probe = SearchConfig {
+                    thresholds: Some(*t),
+                    first_feasible: true,
+                    max_plans: 1,
+                    ..config.clone()
+                };
+                let out = search.run(&probe).unwrap();
+                (out.feasible.is_empty(), out.stats.nodes)
+            };
+            for &b in &alphas {
+                let looser = Thresholds::new(b, b, b);
+                let lb = model.load_bound(&looser);
+                if (0..3).all(|d| bound[d] <= lb[d] && lb[d] <= up_to[d]) {
+                    covered += 1;
+                    assert_eq!(
+                        nodes(&looser),
+                        nodes(&th),
+                        "tree changed at alpha {b} vs {a}"
+                    );
+                }
+            }
+        }
+        assert!(covered > 0, "no probe fell inside a failed probe's limit");
+    }
+
+    #[test]
+    fn failed_probe_limit_is_one_below_the_smallest_rejected_load() {
+        // A probe whose network load bound equals the reported limit
+        // walks the failed probe's tree; one mantissa more admits the
+        // smallest rejected load and changes it.
+        let (g, p, c, lm) = fixture();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let config = SearchConfig::auto_tuned();
+        let net = |a: f64| Thresholds::unbounded().with(crate::cost::Dimension::Net, a);
+        let bound = |a: f64| search.cost_model().load_bound(&net(a))[2];
+        let probe = |a: f64| {
+            let (witness, up_to) = search.probe(&net(a), &config, None).unwrap();
+            let nodes = search
+                .run(&SearchConfig {
+                    thresholds: Some(net(a)),
+                    first_feasible: true,
+                    max_plans: 1,
+                    ..config.clone()
+                })
+                .unwrap()
+                .stats
+                .nodes;
+            (witness.is_none(), up_to[2], nodes)
+        };
+        // The smallest threshold whose network load bound reaches
+        // `target`.
+        let alpha_for = |target: Fixed64| {
+            let (mut lo, mut hi) = (0.0f64, 1.0f64);
+            loop {
+                let mid = lo + (hi - lo) / 2.0;
+                if mid == lo || mid == hi {
+                    assert_eq!(bound(hi), target, "no threshold has this exact bound");
+                    return hi;
+                }
+                if bound(mid) >= target {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+        };
+        // The loosest failing probe of a 1.1x relaxation run.
+        let (_, up_to, nodes) = (0..40)
+            .map(|i| probe(0.01 * 1.1f64.powi(i)))
+            .take_while(|(failed, _, _)| *failed)
+            .last()
+            .expect("the tightest probe fails");
+        assert!(up_to < Fixed64::MAX, "expected a network rejection");
+        assert_eq!(
+            probe(alpha_for(up_to)).2,
+            nodes,
+            "tree changed at the limit"
+        );
+        let past = Fixed64::from_bits(up_to.to_bits() + 1);
+        assert_ne!(
+            probe(alpha_for(past)).2,
+            nodes,
+            "limit is not the smallest rejection"
+        );
+    }
+
+    #[test]
+    fn parallel_budget_abort_reports_only_its_own_bound() {
+        // Each thread spends its own node budget on a schedule-dependent
+        // share of the tree, so the walk says nothing about other bounds.
+        let (g, p, c, lm) = fixture();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let th = Thresholds::new(0.01, 0.01, 0.01);
+        let config = SearchConfig {
+            threads: 2,
+            node_budget: Some(2),
+            ..SearchConfig::auto_tuned()
+        };
+        let probe = SearchConfig {
+            thresholds: Some(th),
+            first_feasible: true,
+            ..config.clone()
+        };
+        assert!(search.run(&probe).unwrap().stats.aborted);
+        let (witness, up_to) = search.probe(&th, &config, None).unwrap();
+        assert!(witness.is_none());
+        assert_eq!(up_to, search.cost_model().load_bound(&th));
     }
 
     #[test]

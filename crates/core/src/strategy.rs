@@ -127,6 +127,13 @@ pub struct BackendResult {
     pub mcts: Option<MctsReport>,
 }
 
+/// A DFS backend's result, plus — when its walk is a pure function of
+/// its limit checks — the per-dimension load bound up to which that
+/// walk is provably unchanged (`CapsVisitor::unchanged_up_to`). The
+/// walk qualifies when it finished, or when a sequential DFS stopped on
+/// its node budget; schedule- and clock-dependent aborts give `None`.
+pub(crate) type DfsResult = (BackendResult, Option<[Fixed64; 3]>);
+
 /// A search algorithm over the CAPS plan space.
 ///
 /// Implementations must be deterministic: the same context (and, for
@@ -149,6 +156,12 @@ impl SearchStrategy for SequentialDfs {
     }
 
     fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
+        Ok(Self::run(ctx)?.0)
+    }
+}
+
+impl SequentialDfs {
+    pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
         let stop = std::sync::atomic::AtomicBool::new(false);
         let incumbent = std::sync::atomic::AtomicU64::new(f64::INFINITY.to_bits());
         let mut visitor = CapsVisitor::new(
@@ -170,7 +183,9 @@ impl SearchStrategy for SequentialDfs {
         let aborted = visitor.was_aborted();
         let memo_hits = visitor.memo_hits();
         let anytime = visitor.take_anytime();
-        Ok(BackendResult {
+        let unchanged_up_to =
+            (!aborted || visitor.budget_spent()).then(|| visitor.unchanged_up_to());
+        let result = BackendResult {
             plans: visitor.into_found(),
             stats: RunStats {
                 nodes: s.nodes,
@@ -183,7 +198,8 @@ impl SearchStrategy for SequentialDfs {
             },
             anytime,
             mcts: None,
-        })
+        };
+        Ok((result, unchanged_up_to))
     }
 }
 
@@ -196,7 +212,13 @@ impl SearchStrategy for ParallelDfs {
     }
 
     fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
-        let (plans, stats) = crate::parallel::run_parallel(
+        Ok(Self::run(ctx)?.0)
+    }
+}
+
+impl ParallelDfs {
+    pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
+        let (plans, stats, unchanged_up_to) = crate::parallel::run_parallel(
             ctx.physical,
             ctx.model,
             ctx.topo,
@@ -207,13 +229,17 @@ impl SearchStrategy for ParallelDfs {
             ctx.deadline,
             ctx.start,
         )?;
-        Ok(BackendResult {
+        // Each thread spends its own node budget on a schedule-dependent
+        // share of the tree, so only a finished walk counts.
+        let unchanged_up_to = (!stats.aborted).then_some(unchanged_up_to);
+        let result = BackendResult {
             plans,
             stats,
             // Improvement times depend on the steal schedule; reporting
             // them would leak nondeterminism into the outcome.
             anytime: Vec::new(),
             mcts: None,
-        })
+        };
+        Ok((result, unchanged_up_to))
     }
 }

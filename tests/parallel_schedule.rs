@@ -387,3 +387,59 @@ fn starved_single_prefix_is_resplit_across_threads() {
         assert_eq!(plan_set(&par), plan_set(&seq));
     }
 }
+
+#[test]
+fn decision_search_stores_the_explicit_threshold_plans() {
+    // An auto-tuned (decision) search bounds its DFS by the worst plan of
+    // a full store. Only branches that hold no storable plan may be cut,
+    // so it must store exactly the plans of the same search run with the
+    // tuned thresholds made explicit — in the same order sequentially,
+    // as the same set in parallel — while reaching no more leaves.
+    let shrank = std::cell::Cell::new(false);
+    forall!(cases(), (
+        ops in arb_ops(),
+        workers in ints(2usize..=4),
+        extra_slots in ints(2usize..=6),
+    ) => {
+        let (g, cluster) = build_problem(ops, *workers, *extra_slots);
+        let physical = PhysicalGraph::expand(&g);
+        let loads = loads_for(&g, &physical, 1000.0);
+        let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
+        for threads in [1usize, 2, 4] {
+            for max_plans in [4usize, 12] {
+                for memo in [true, false] {
+                    let config = SearchConfig {
+                        threads,
+                        max_plans,
+                        memo,
+                        ..SearchConfig::auto_tuned()
+                    };
+                    let decided = search.run(&config).expect("decision search runs");
+                    let th = decided.thresholds;
+                    let explicit = search
+                        .run_with_thresholds(&th, &SearchConfig { thresholds: Some(th), ..config })
+                        .expect("explicit search runs");
+                    let at = format!("{threads} threads, max_plans {max_plans}, memo {memo}");
+                    assert!(!decided.feasible.is_empty(), "no plan stored at {at}");
+                    if threads == 1 {
+                        assert_eq!(decided.feasible, explicit.feasible, "stored plans differ at {at}");
+                        assert!(
+                            decided.stats.nodes <= explicit.stats.nodes,
+                            "store bound added nodes at {at}"
+                        );
+                        if decided.stats.nodes < explicit.stats.nodes {
+                            shrank.set(true);
+                        }
+                    } else {
+                        assert_eq!(plan_set(&decided), plan_set(&explicit), "plan set differs at {at}");
+                    }
+                    assert!(
+                        decided.stats.plans_found <= explicit.stats.plans_found,
+                        "store bound counted more plans at {at}"
+                    );
+                }
+            }
+        }
+    });
+    assert!(shrank.get(), "the store bound never cut a sequential node");
+}
