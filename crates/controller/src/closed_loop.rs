@@ -10,19 +10,35 @@
 //! # Durability
 //!
 //! The loop is a *durable* controller: every decision it takes can be
-//! journaled to a write-ahead [`DecisionJournal`], reconfigurations run
-//! a two-phase protocol (`Prepare` journaled before the cluster is
-//! touched, `Commit` after), and deployments are fenced by a
-//! monotonically increasing epoch ([`capsys_sim::EpochFence`]). A
-//! controller killed at any decision point — including *between*
-//! `Prepare` and `Commit` — is rebuilt by
-//! [`ClosedLoop::recover_from_journal`], which re-simulates from t=0,
-//! re-applying journaled decisions instead of re-running placement
-//! searches, and goes live past the journal tail. The recovered run's
-//! trace is byte-identical to the uninterrupted run's. A pre-crash
-//! zombie controller that tries to reconfigure after being superseded
-//! fails deterministically with [`ControllerError::FencedEpoch`],
-//! leaving the cluster untouched.
+//! journaled to a write-ahead [`DecisionJournal`] before it takes
+//! effect. Reconfigurations run in two phases — a phase-one record
+//! (`Prepare`, `Rollback`, `Shed`, `MigratePrepare`) before the cluster
+//! is touched, its `Commit` (a migration's `MigrateStep`s and
+//! `MigrateCommit`) after — and deployments are fenced by a
+//! monotonically increasing epoch ([`capsys_sim::EpochFence`]).
+//!
+//! Live and replayed runs share one decision path. Every trigger — DS2's
+//! recommendation, a due recovery attempt, the governor's and the
+//! admission controller's verdicts — is re-derived from the window's
+//! metrics. The decision itself comes from one journal cursor while
+//! journaled records remain (the record due now, with its RNG state and
+//! epoch); past the journal tail the loop decides live (placement
+//! search, movemin target, retry bookkeeping) and journals it. One
+//! `apply` then validates the decision, deploys it (or sets the shed
+//! fraction, or starts the migration), and settles it through one
+//! commit step that consumes the journal's `Commit` or, past the tail,
+//! writes it live. Only the epoch depends on the source: a live decision
+//! must win the fence, a journaled one stamps its epoch.
+//!
+//! A controller killed at any decision point — including *between* the
+//! phases — is rebuilt by [`ClosedLoop::recover_from_journal`], which
+//! re-simulates from t=0 through the cursor and goes live past the
+//! tail; an in-doubt reconfiguration at the tail is rolled forward by
+//! the commit step. The recovered run's trace and journal are
+//! byte-identical to the uninterrupted run's. A pre-crash zombie
+//! controller that tries to reconfigure after being superseded fails
+//! deterministically with [`ControllerError::FencedEpoch`], leaving the
+//! cluster untouched.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -392,7 +408,9 @@ pub struct ClosedLoop<'a> {
     log: Vec<DecisionRecord>,
     /// Write-ahead sink; `None` runs without durability.
     sink: Option<DecisionJournal>,
-    /// Decisions still to be replayed (crash recovery). Empty = live.
+    /// Decisions still to be replayed (crash recovery), read only
+    /// through the journal cursor ([`ClosedLoop::journaled`]). Empty =
+    /// live.
     replay: VecDeque<DecisionRecord>,
     /// Time of the last journaled decision at recovery (`-inf` for a
     /// fresh run); disarms wall-clock kill points the crashed run
@@ -480,6 +498,98 @@ fn replay_due(record_time: f64, now: f64) -> bool {
     (record_time - now).abs() <= REPLAY_TIME_EPS
 }
 
+/// Where a decision came from: taken live, or read back from the
+/// journal. Its only effect is on the epoch (see [`enter_epoch`]).
+#[derive(Clone, Copy)]
+enum Source {
+    Live,
+    Journal,
+}
+
+/// The re-derived verdict a decision answers, when it has one: a
+/// journaled rollback or shed change must match it, and its bookkeeping
+/// settles the governor or the admission controller.
+enum Verdict<'r> {
+    None,
+    Rollback(&'r RollbackRequest),
+    Shed(&'r ShedRequest),
+}
+
+/// Puts `sim` under `epoch`. A live decision must win the fence — a
+/// stale epoch means this controller is a superseded zombie; a
+/// journaled one stamps its epoch, because the journal, not the fence,
+/// is the authority on what the crashed run applied.
+fn enter_epoch(
+    sim: &mut Simulation,
+    fence: &EpochFence,
+    epoch: u64,
+    source: Source,
+) -> Result<(), ControllerError> {
+    match source {
+        Source::Journal => {
+            sim.stamp_epoch(epoch);
+            Ok(())
+        }
+        Source::Live => sim.bind_epoch(fence, epoch).map_err(|e| match e {
+            SimError::StaleEpoch { attempted, current } => {
+                ControllerError::FencedEpoch { attempted, current }
+            }
+            other => ControllerError::Sim(other),
+        }),
+    }
+}
+
+/// Restores a journaled RNG state.
+fn restore_rng(state: [u64; 4]) -> Result<SmallRng, ControllerError> {
+    SmallRng::try_from_state(state).ok_or_else(|| {
+        ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
+    })
+}
+
+/// The epoch a phase-one record opens.
+fn phase_one_epoch(rec: &DecisionRecord) -> Option<u64> {
+    match rec {
+        DecisionRecord::Prepare { epoch, .. }
+        | DecisionRecord::Rollback { epoch, .. }
+        | DecisionRecord::Shed { epoch, .. }
+        | DecisionRecord::MigratePrepare { epoch, .. } => Some(*epoch),
+        _ => None,
+    }
+}
+
+/// The controller RNG state a record carries.
+fn journaled_rng(rec: &DecisionRecord) -> Option<[u64; 4]> {
+    match rec {
+        DecisionRecord::Prepare { rng, .. }
+        | DecisionRecord::Rollback { rng, .. }
+        | DecisionRecord::Shed { rng, .. }
+        | DecisionRecord::MigratePrepare { rng, .. }
+        | DecisionRecord::Retry { rng, .. } => Some(*rng),
+        _ => None,
+    }
+}
+
+/// Whether `journaled` is the phase-two record `due` (times aside: the
+/// cursor checks those).
+fn same_phase_two(journaled: &DecisionRecord, due: &DecisionRecord) -> bool {
+    match (journaled, due) {
+        (DecisionRecord::Commit { epoch: a, .. }, DecisionRecord::Commit { epoch: b, .. })
+        | (
+            DecisionRecord::MigrateCommit { epoch: a, .. },
+            DecisionRecord::MigrateCommit { epoch: b, .. },
+        ) => a == b,
+        (
+            DecisionRecord::MigrateStep {
+                epoch: a, wave: x, ..
+            },
+            DecisionRecord::MigrateStep {
+                epoch: b, wave: y, ..
+            },
+        ) => a == b && x == y,
+        _ => false,
+    }
+}
+
 /// Whether a failed re-placement should be retried with backoff rather
 /// than aborting the run. Fencing, injected kills, and journal faults
 /// must propagate — retrying them would mask a superseded or dead
@@ -543,15 +653,6 @@ impl<'a> ClosedLoop<'a> {
         let placement = strategy
             .place(&ctx, &mut rng)
             .map_err(ControllerError::Placement)?;
-        let sim = Simulation::new(
-            query.logical(),
-            &physical,
-            cluster,
-            &placement,
-            &query.schedules_from(&schedule),
-            sim_config.clone(),
-        )
-        .map_err(ControllerError::Sim)?;
         // Decision zero: the initial deployment, with the RNG state
         // after the initial search — recovery rebuilds the loop from
         // this record without re-running the search.
@@ -563,60 +664,41 @@ impl<'a> ClosedLoop<'a> {
             assignment: placement.assignment().iter().map(|w| w.0).collect(),
             rng: rng.state(),
         };
-        Ok(ClosedLoop {
-            query: query.clone(),
+        ClosedLoop::assemble(
+            query,
             cluster,
             strategy,
-            ds2: Ds2Controller::new(ds2_config),
+            ds2_config,
             sim_config,
             schedule,
             rng,
-            time: 0.0,
             physical,
             placement,
-            sim,
-            last_action: f64::NEG_INFINITY,
-            events: Vec::new(),
-            points: Vec::new(),
-            recent: VecDeque::new(),
-            fault_plan: None,
-            recovery: None,
-            guard: None,
-            rollback_events: Vec::new(),
-            shedder: None,
-            shed_events: Vec::new(),
-            skew: None,
-            sanitized: 0,
-            state_transfer: None,
-            migration_cfg: None,
-            migration: None,
-            open_wave: None,
-            migration_waves: Vec::new(),
-            epoch: 0,
-            fence: EpochFence::new(),
-            log: vec![init],
-            sink: None,
-            replay: VecDeque::new(),
-            resume_time: f64::NEG_INFINITY,
-            kill: None,
-        })
+            init,
+            VecDeque::new(),
+            f64::NEG_INFINITY,
+        )
     }
 
     /// Rebuilds a controller from a crashed run's journal.
     ///
     /// The caller supplies the same inputs the crashed run was
     /// constructed with — the journal records decisions, not the whole
-    /// world. The recovered loop re-simulates from t=0, re-applying
-    /// journaled decisions (restoring the journaled RNG state) instead
-    /// of re-running placement searches, and goes live past the journal
-    /// tail; with the same seeds and fault plan, its full trace is
-    /// byte-identical to the uninterrupted run's. An in-doubt
-    /// reconfiguration (a `Prepare` at the tail — the crash hit between
-    /// `Prepare` and `Commit`) is rolled forward; one the crashed run
-    /// abandoned (a `Retry` follows it) is not deployed. Re-attach the
-    /// fault plan and recovery config after this call, exactly as for a
-    /// fresh loop; a wall-clock kill point at or before the resume time
-    /// is automatically disarmed.
+    /// world. The records after `Init` become the replay cursor: the
+    /// recovered loop re-simulates from t=0, re-derives every trigger,
+    /// and takes each decision from the cursor (restoring the journaled
+    /// RNG state and epoch) instead of re-running placement searches,
+    /// then goes live past the journal tail. With the same seeds and
+    /// fault plan, its full trace and journal are byte-identical to the
+    /// uninterrupted run's. An in-doubt reconfiguration (a phase-one
+    /// record at the tail) is rolled forward; one the crashed run failed
+    /// to apply (a `Retry` follows it) fails the same way again and is
+    /// not deployed. A record that is not due when the loop reaches it,
+    /// or not the decision due then, fails the run with
+    /// [`ControllerError::JournalReplay`]. Re-attach the fault plan and
+    /// recovery config after this call, exactly as for a fresh loop; a
+    /// wall-clock kill point at or before the resume time is
+    /// automatically disarmed.
     #[allow(clippy::too_many_arguments)]
     pub fn recover_from_journal(
         query: &Query,
@@ -666,14 +748,47 @@ impl<'a> ClosedLoop<'a> {
                 query.logical().parallelism_vector()
             )));
         }
-        let rng = SmallRng::try_from_state(rng_state).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
+        let rng = restore_rng(rng_state)?;
         let physical = query.physical();
         let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
         placement.validate(&physical, cluster).map_err(|e| {
             ControllerError::JournalReplay(format!("journaled initial placement is invalid: {e}"))
         })?;
+        ClosedLoop::assemble(
+            query,
+            cluster,
+            strategy,
+            ds2_config,
+            sim_config,
+            schedule,
+            rng,
+            physical,
+            placement,
+            init,
+            replay,
+            resume_time,
+        )
+    }
+
+    /// The one constructor behind [`ClosedLoop::new`] and
+    /// [`ClosedLoop::recover_from_journal`]: deploys `placement` in a
+    /// fresh simulation and starts the decision log at `init`, with the
+    /// given replay cursor and resume time.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        query: &Query,
+        cluster: &'a Cluster,
+        strategy: &'a dyn PlacementStrategy,
+        ds2_config: Ds2Config,
+        sim_config: SimConfig,
+        schedule: RateSchedule,
+        rng: SmallRng,
+        physical: PhysicalGraph,
+        placement: Placement,
+        init: DecisionRecord,
+        replay: VecDeque<DecisionRecord>,
+        resume_time: f64,
+    ) -> Result<ClosedLoop<'a>, ControllerError> {
         let sim = Simulation::new(
             query.logical(),
             &physical,
@@ -947,15 +1062,7 @@ impl<'a> ClosedLoop<'a> {
         }
         let killed = match self.kill {
             Some(KillPoint::AfterRecord(k)) => seq == k,
-            Some(KillPoint::MidReconfig(e)) => {
-                matches!(
-                    &rec,
-                    DecisionRecord::Prepare { epoch, .. }
-                    | DecisionRecord::Rollback { epoch, .. }
-                    | DecisionRecord::Shed { epoch, .. }
-                    | DecisionRecord::MigratePrepare { epoch, .. } if *epoch == e
-                )
-            }
+            Some(KillPoint::MidReconfig(e)) => phase_one_epoch(&rec) == Some(e),
             _ => false,
         };
         self.log.push(rec);
@@ -968,15 +1075,48 @@ impl<'a> ClosedLoop<'a> {
         Ok(())
     }
 
-    /// Re-journals a decision consumed from the replay cursor. Replayed
-    /// records never trip kill points — the controller that wrote them
-    /// already survived past them.
-    fn record_replayed(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
+    /// Whether journaled decisions are still waiting to be replayed.
+    fn replaying(&self) -> bool {
+        !self.replay.is_empty()
+    }
+
+    /// The journal cursor. While replaying, pops the journal's next
+    /// record if it is due now and `expected` accepts it here, restores
+    /// the RNG state and epoch it carries, and re-journals it (replayed
+    /// records never trip kill points: the controller that wrote them
+    /// already survived past them). Returns `None` past the journal
+    /// tail, so the caller decides live. A next record that is not due
+    /// now, or not expected here, means the replay diverged from the run
+    /// that wrote the journal.
+    fn journaled(
+        &mut self,
+        expected: impl Fn(&DecisionRecord) -> bool,
+    ) -> Result<Option<DecisionRecord>, ControllerError> {
+        let now = self.time;
+        let Some(rec) = self
+            .replay
+            .pop_front_if(|r| replay_due(r.time(), now) && expected(r))
+        else {
+            return match self.replay.front() {
+                None => Ok(None),
+                Some(front) => Err(ControllerError::JournalReplay(format!(
+                    "the journal's next decision (t={:.3}) is not the one due at t={now:.3}: \
+                     the replay diverged from the run that wrote the journal",
+                    front.time()
+                ))),
+            };
+        };
+        if let Some(state) = journaled_rng(&rec) {
+            self.rng = restore_rng(state)?;
+        }
+        if let Some(epoch) = phase_one_epoch(&rec) {
+            self.epoch = epoch;
+        }
         if let Some(sink) = &mut self.sink {
             sink.append(&rec)?;
         }
-        self.log.push(rec);
-        Ok(())
+        self.log.push(rec.clone());
+        Ok(Some(rec))
     }
 
     /// Runs the loop for `duration` simulated seconds.
@@ -1005,231 +1145,248 @@ impl<'a> ClosedLoop<'a> {
     /// loop, exposed so a fleet-level driver can interleave many shard
     /// controllers in lockstep on one global clock.
     pub fn step(&mut self, window: f64) -> Result<StepReport, ControllerError> {
-        {
-            let report = self.sim.advance(window, 0.0);
-            self.time += window;
-            let summary = StepReport {
-                time: self.time,
-                avg_throughput: report.avg_throughput,
-                avg_target: report.avg_target,
-                avg_backpressure: report.avg_backpressure,
-                worker_cpu_util: report.worker_cpu_util.clone(),
-                worker_alive: report.worker_alive.clone(),
-            };
+        let report = self.sim.advance(window, 0.0);
+        self.time += window;
+        let summary = StepReport {
+            time: self.time,
+            avg_throughput: report.avg_throughput,
+            avg_target: report.avg_target,
+            avg_backpressure: report.avg_backpressure,
+            worker_cpu_util: report.worker_cpu_util.clone(),
+            worker_alive: report.worker_alive.clone(),
+        };
 
-            // Injected wall-clock controller kill: the process dies at
-            // the next window boundary. Replayed spans are immune (the
-            // crashed controller survived them up to its journal tail),
-            // as is anything at or before a recovered loop's resume
-            // point.
-            if let Some(KillPoint::AtTime(t)) = self.kill {
-                if self.replay.is_empty() && self.time + 1e-9 >= t && t > self.resume_time {
-                    return Err(ControllerError::ControllerKilled {
-                        seq: self.log.len() as u64,
-                        time: self.time,
-                    });
-                }
+        // Injected wall-clock controller kill: the process dies at the
+        // next window boundary. Replayed spans are immune (the crashed
+        // controller survived them up to its journal tail), as is
+        // anything at or before a recovered loop's resume point.
+        if let Some(KillPoint::AtTime(t)) = self.kill {
+            if !self.replaying() && self.time + 1e-9 >= t && t > self.resume_time {
+                return Err(ControllerError::ControllerKilled {
+                    seq: self.log.len() as u64,
+                    time: self.time,
+                });
             }
+        }
 
-            for mut p in report.points.clone() {
-                p.time = self.time;
-                self.points.push(p);
-            }
-            // Ingestion sanitizer: clamp poisoned samples before the
-            // rates can reach DS2 or the online profiler.
-            let mut task_rates = report.task_rates.clone();
-            self.sanitized += sanitize_rates(&mut task_rates) as u64;
-            self.recent.push_back((window, task_rates));
-            while self.recent.len() > METRICS_WINDOWS {
-                self.recent.pop_front();
-            }
+        for mut p in report.points.clone() {
+            p.time = self.time;
+            self.points.push(p);
+        }
+        // Ingestion sanitizer: clamp poisoned samples before the rates
+        // can reach DS2 or the online profiler.
+        let mut task_rates = report.task_rates.clone();
+        self.sanitized += sanitize_rates(&mut task_rates) as u64;
+        self.recent.push_back((window, task_rates));
+        while self.recent.len() > METRICS_WINDOWS {
+            self.recent.pop_front();
+        }
 
-            // A model-skew fault makes the *plan model* stale, not the
-            // cluster: the plan live at the onset keeps its measured
-            // behavior, so remember it as the trusted rollback target.
-            if let Some(skew) = &mut self.skew {
-                if skew.trusted.is_none() && self.time + 1e-9 >= skew.fault.time {
-                    skew.trusted = Some((
-                        self.query.logical().parallelism_vector(),
-                        self.placement.assignment().iter().map(|w| w.0).collect(),
-                    ));
-                }
+        // A model-skew fault makes the *plan model* stale, not the
+        // cluster: the plan live at the onset keeps its measured
+        // behavior, so remember it as the trusted rollback target.
+        if let Some(skew) = &mut self.skew {
+            if skew.trusted.is_none() && self.time + 1e-9 >= skew.fault.time {
+                skew.trusted = Some((
+                    self.query.logical().parallelism_vector(),
+                    self.placement.assignment().iter().map(|w| w.0).collect(),
+                ));
             }
+        }
 
-            // Failure detection: heartbeats ride the metrics report,
-            // with out-of-band activity evidence so a partitioned
-            // worker (still running, fenced writes landing) is
-            // classified isolated rather than crashed — re-placing its
-            // tasks would double-place them.
-            if let Some(rec) = &mut self.recovery {
-                let det = rec.detector.observe_with_evidence(
-                    &report.worker_alive,
-                    &report.worker_activity,
-                    report.metrics_ok,
-                    self.time,
-                );
-                for w in det.newly_down {
-                    let since = rec.detector.stale_since(w).unwrap_or(self.time);
-                    match &mut rec.pending {
-                        Some(p) => {
-                            if !p.workers.iter().any(|(pw, _)| *pw == w) {
-                                p.workers.push((w, since));
-                            }
+        // Failure detection: heartbeats ride the metrics report, with
+        // out-of-band activity evidence so a partitioned worker (still
+        // running, fenced writes landing) is classified isolated rather
+        // than crashed — re-placing its tasks would double-place them.
+        if let Some(rec) = &mut self.recovery {
+            let det = rec.detector.observe_with_evidence(
+                &report.worker_alive,
+                &report.worker_activity,
+                report.metrics_ok,
+                self.time,
+            );
+            for w in det.newly_down {
+                let since = rec.detector.stale_since(w).unwrap_or(self.time);
+                match &mut rec.pending {
+                    Some(p) => {
+                        if !p.workers.iter().any(|(pw, _)| *pw == w) {
+                            p.workers.push((w, since));
                         }
-                        None => {
-                            rec.pending = Some(PendingRecovery {
-                                workers: vec![(w, since)],
-                                detected_at: self.time,
-                                attempts: 0,
-                                next_attempt_at: self.time,
-                            });
-                        }
+                    }
+                    None => {
+                        rec.pending = Some(PendingRecovery {
+                            workers: vec![(w, since)],
+                            detected_at: self.time,
+                            attempts: 0,
+                            next_attempt_at: self.time,
+                        });
                     }
                 }
             }
-
-            // Whole-plan restores: close the trace's open wave once the
-            // restore finishes draining.
-            if self.migration.is_none()
-                && self.open_wave.is_some()
-                && !self.sim.state_transfer_active()
-            {
-                self.close_open_wave();
-            }
-
-            // An in-flight incremental migration owns the control loop:
-            // one wave at a time, journaled as it lands. Scaling, the
-            // governor, and new recovery attempts wait for its commit
-            // (or abandonment); failure detection above keeps running.
-            if self.migration.is_some() {
-                self.advance_migration()?;
-                return Ok(summary);
-            }
-
-            // Recovery re-placement, with bounded exponential backoff.
-            let attempt_due = self
-                .recovery
-                .as_ref()
-                .and_then(|r| r.pending.as_ref())
-                .is_some_and(|p| self.time + 1e-9 >= p.next_attempt_at);
-            if attempt_due {
-                if self.replay.is_empty() {
-                    self.attempt_recovery()?;
-                } else {
-                    self.replay_recovery_step()?;
-                }
-            }
-
-            // Overload protection: the admission controller sizes the
-            // shed fraction from this window's metrics. It runs even
-            // while a recovery is pending and is exempt from governor
-            // cooldown and the activation period — shedding is load
-            // control, not a plan change, and an overloaded job cannot
-            // wait for either clock. It does not touch `last_action`:
-            // scaling out is the real fix and must not be delayed by a
-            // shed. Offered load is measured at the sources, pre-shed.
-            let offered = self.schedule.rate_at(self.time).max(0.0);
-            let shed_req = match &mut self.shedder {
-                Some(shed) => shed.observe_window(
-                    self.time,
-                    report.avg_throughput,
-                    offered,
-                    report.avg_backpressure,
-                ),
-                None => None,
-            };
-            if let Some(req) = shed_req {
-                if self.replay.is_empty() {
-                    self.shed_redeploy(&req)?;
-                } else {
-                    self.replay_shed_step(&req)?;
-                }
-            }
-
-            // DS2 policy evaluation. A pending recovery takes priority:
-            // scaling decisions wait until the job is re-placed.
-            if self.recovery.as_ref().is_some_and(|r| r.pending.is_some()) {
-                return Ok(summary);
-            }
-
-            // Safety governor: judge the current probation window before
-            // the policy decides anything. A rollback verdict preempts
-            // DS2 and is exempt from the activation period — a regressed
-            // canary must not linger because the loop just acted.
-            let verdict = match &mut self.guard {
-                Some(gov) => gov.observe_window(
-                    self.time,
-                    report.avg_throughput,
-                    report.avg_target,
-                    report.avg_backpressure,
-                ),
-                None => None,
-            };
-            if let Some(req) = verdict {
-                if self.replay.is_empty() {
-                    self.rollback_redeploy(&req)?;
-                } else {
-                    self.replay_rollback_step(&req)?;
-                }
-                return Ok(summary);
-            }
-            // Hysteresis: no reconfiguration of any kind inside the
-            // post-rollback cooldown.
-            if self.guard.as_ref().is_some_and(|g| g.in_cooldown(self.time)) {
-                return Ok(summary);
-            }
-
-            if self.time - self.last_action < self.ds2.config.activation_period {
-                return Ok(summary);
-            }
-            if !self.replay.is_empty() {
-                // Replay stands in for the DS2 evaluation: the journal
-                // already says whether (and how) this step scaled.
-                self.replay_scaling_step()?;
-                return Ok(summary);
-            }
-            let rates = average_rates(&self.recent);
-            let rate_now = self.schedule.rate_at(self.time).max(1.0);
-            let targets: HashMap<OperatorId, f64> = self.query.source_rates(rate_now);
-            let decision = self
-                .ds2
-                .decide(self.query.logical(), &self.physical, &rates, &targets)
-                .map_err(ControllerError::Ds2)?;
-            if !decision.changed {
-                return Ok(summary);
-            }
-            let down = self.known_down();
-            let capacity_ok = if down.is_empty() {
-                self.cluster.check_capacity(decision.total_tasks()).is_ok()
-            } else {
-                decision.total_tasks() <= self.free_slots(&down).iter().sum::<usize>()
-            };
-            if !capacity_ok {
-                // Cannot deploy the recommendation; skip this action.
-                return Ok(summary);
-            }
-            // Quarantine veto *before* the placement search: vetoing
-            // after it would consume RNG with no journal record and fork
-            // any replay of this run.
-            if self
-                .guard
-                .as_ref()
-                .is_some_and(|g| g.is_quarantined(&decision.parallelism, self.time))
-            {
-                return Ok(summary);
-            }
-            self.redeploy(decision.parallelism, rate_now, true)?;
-            Ok(summary)
         }
+
+        // Whole-plan restores: close the trace's open wave once the
+        // restore finishes draining.
+        if self.migration.is_none() && self.open_wave.is_some() && !self.sim.state_transfer_active()
+        {
+            self.close_open_wave();
+        }
+
+        // An in-flight incremental migration owns the control loop: one
+        // wave at a time, journaled as it lands. Scaling, the governor,
+        // and new recovery attempts wait for its commit (or
+        // abandonment); failure detection above keeps running.
+        if self.migration.is_some() {
+            self.advance_migration()?;
+            return Ok(summary);
+        }
+
+        // Recovery re-placement, with bounded exponential backoff.
+        let attempt_due = self
+            .recovery
+            .as_ref()
+            .and_then(|r| r.pending.as_ref())
+            .is_some_and(|p| self.time + 1e-9 >= p.next_attempt_at);
+        if attempt_due {
+            self.attempt_recovery()?;
+        }
+
+        // Overload protection: the admission controller sizes the shed
+        // fraction from this window's metrics. It runs even while a
+        // recovery is pending and is exempt from governor cooldown and
+        // the activation period — shedding is load control, not a plan
+        // change, and an overloaded job cannot wait for either clock. It
+        // does not touch `last_action`: scaling out is the real fix and
+        // must not be delayed by a shed. Offered load is measured at the
+        // sources, pre-shed.
+        let offered = self.schedule.rate_at(self.time).max(0.0);
+        let shed_req = match &mut self.shedder {
+            Some(shed) => shed.observe_window(
+                self.time,
+                report.avg_throughput,
+                offered,
+                report.avg_backpressure,
+            ),
+            None => None,
+        };
+        if let Some(req) = shed_req {
+            self.reconfigure(
+                |r| matches!(r, DecisionRecord::Shed { .. }),
+                |lp| {
+                    Ok(DecisionRecord::Shed {
+                        epoch: lp.epoch + 1,
+                        time: lp.time,
+                        fraction: req.fraction,
+                        rng: lp.rng.state(),
+                    })
+                },
+                Verdict::Shed(&req),
+            )?;
+        }
+
+        // DS2 policy evaluation. A pending recovery takes priority:
+        // scaling decisions wait until the job is re-placed.
+        if self.recovery.as_ref().is_some_and(|r| r.pending.is_some()) {
+            return Ok(summary);
+        }
+
+        // Safety governor: judge the current probation window before
+        // the policy decides anything. A rollback verdict preempts DS2
+        // and is exempt from the activation period — a regressed canary
+        // must not linger because the loop just acted.
+        let rollback = match &mut self.guard {
+            Some(gov) => gov.observe_window(
+                self.time,
+                report.avg_throughput,
+                report.avg_target,
+                report.avg_backpressure,
+            ),
+            None => None,
+        };
+        if let Some(req) = rollback {
+            self.reconfigure(
+                |r| matches!(r, DecisionRecord::Rollback { .. }),
+                |lp| {
+                    Ok(DecisionRecord::Rollback {
+                        epoch: lp.epoch + 1,
+                        time: lp.time,
+                        from_epoch: req.regressed.epoch,
+                        parallelism: req.to.parallelism.clone(),
+                        assignment: req.to.assignment.clone(),
+                        rng: lp.rng.state(),
+                    })
+                },
+                Verdict::Rollback(&req),
+            )?;
+            return Ok(summary);
+        }
+        // Hysteresis: no reconfiguration of any kind inside the
+        // post-rollback cooldown.
+        if self
+            .guard
+            .as_ref()
+            .is_some_and(|g| g.in_cooldown(self.time))
+        {
+            return Ok(summary);
+        }
+
+        if self.time - self.last_action < self.ds2.config.activation_period {
+            return Ok(summary);
+        }
+        let rates = average_rates(&self.recent);
+        let rate_now = self.schedule.rate_at(self.time).max(1.0);
+        let targets: HashMap<OperatorId, f64> = self.query.source_rates(rate_now);
+        let decision = self
+            .ds2
+            .decide(self.query.logical(), &self.physical, &rates, &targets)
+            .map_err(ControllerError::Ds2)?;
+        if !decision.changed {
+            return Ok(summary);
+        }
+        let down = self.known_down();
+        let capacity_ok = if down.is_empty() {
+            self.cluster.check_capacity(decision.total_tasks()).is_ok()
+        } else {
+            decision.total_tasks() <= self.free_slots(&down).iter().sum::<usize>()
+        };
+        if !capacity_ok {
+            // Cannot deploy the recommendation; skip this action.
+            return Ok(summary);
+        }
+        // Quarantine veto *before* the placement search: vetoing after
+        // it would consume RNG with no journal record and fork any
+        // replay of this run.
+        if self
+            .guard
+            .as_ref()
+            .is_some_and(|g| g.is_quarantined(&decision.parallelism, self.time))
+        {
+            return Ok(summary);
+        }
+        self.reconfigure(
+            |r| {
+                matches!(
+                    r,
+                    DecisionRecord::Prepare {
+                        reason: RedeployReason::Scaling,
+                        ..
+                    }
+                )
+            },
+            |lp| lp.plan_prepare(decision.parallelism, rate_now, RedeployReason::Scaling),
+            Verdict::None,
+        )?;
+        Ok(summary)
     }
 
     /// Finishes the run: checks every journaled decision was consumed
     /// and assembles the trace. Call after the final
     /// [`ClosedLoop::step`] (or let [`ClosedLoop::run`] do both).
     pub fn into_trace(self) -> Result<ClosedLoopTrace, ControllerError> {
-        if !self.replay.is_empty() {
+        if self.replaying() {
             // The journal records decisions from beyond this run's end:
-            // the caller replayed with a shorter horizon. Surface it
+            // the caller replayed with a shorter horizon, or the replay
+            // never reached a decision the crashed run took. Surface it
             // rather than silently dropping journaled decisions.
             return Err(ControllerError::JournalReplay(format!(
                 "{} journaled decision(s) left unreplayed at the end of the run",
@@ -1248,63 +1405,91 @@ impl<'a> ClosedLoop<'a> {
         })
     }
 
-    /// Runs one re-placement attempt for the pending recovery. Success
-    /// records a [`RecoveryEvent`] per covered worker; a retryable
-    /// failure backs off exponentially (journaled as a `Retry`) and,
-    /// once `max_retries` attempts are spent, gives up and lets the job
-    /// continue degraded — the loop never crashes on an unplaceable
-    /// cluster. Fencing and injected kills propagate.
+    /// Takes one decision and applies it. While replaying, the decision
+    /// is the journal's record due now (`expected` says which records
+    /// may stand here); past the tail, `decide` takes it live — the
+    /// search or bookkeeping — and it is journaled, burning its epoch,
+    /// before anything is touched.
+    fn reconfigure(
+        &mut self,
+        expected: impl Fn(&DecisionRecord) -> bool,
+        decide: impl FnOnce(&mut Self) -> Result<DecisionRecord, ControllerError>,
+        verdict: Verdict<'_>,
+    ) -> Result<(), ControllerError> {
+        let (rec, source) = match self.journaled(expected)? {
+            Some(rec) => (rec, Source::Journal),
+            None => {
+                let rec = decide(self)?;
+                if let Some(epoch) = phase_one_epoch(&rec) {
+                    self.epoch = epoch;
+                }
+                self.record(rec.clone())?;
+                (rec, Source::Live)
+            }
+        };
+        self.apply(rec, source, verdict)
+    }
+
+    /// Runs one re-placement attempt for the pending recovery: an
+    /// incremental migration when configured and feasible, else a
+    /// whole-plan redeploy on the survivors. Success records a
+    /// [`RecoveryEvent`] per covered worker; a retryable failure backs
+    /// off (see [`ClosedLoop::retry`]) — the loop never crashes on an
+    /// unplaceable cluster. Fencing, injected kills and journal faults
+    /// propagate.
     fn attempt_recovery(&mut self) -> Result<(), ControllerError> {
-        let parallelism = self.query.logical().parallelism_vector();
-        let rate_now = self.schedule.rate_at(self.time).max(1.0);
-        if self.migration_cfg.is_some() {
-            match self.migrate_redeploy(rate_now) {
-                // Migration started; it commits (and resolves the
-                // pending recovery) once every wave has drained.
-                Ok(true) => return Ok(()),
-                // No tolerance band on the survivors: fall through to a
-                // whole-plan redeploy.
-                Ok(false) => {}
-                Err(e) if retryable(&e) => return self.note_failed_attempt(),
-                Err(e) => return Err(e),
-            }
-        }
-        match self.redeploy(parallelism, rate_now, false) {
-            Ok(rung) => {
-                self.finish_recovery(rung);
-                Ok(())
-            }
-            Err(e) if retryable(&e) => self.note_failed_attempt(),
-            Err(e) => Err(e),
+        let attempt = self.reconfigure(
+            |r| {
+                matches!(
+                    r,
+                    DecisionRecord::Retry { .. }
+                        | DecisionRecord::MigratePrepare { .. }
+                        | DecisionRecord::Prepare {
+                            reason: RedeployReason::Recovery,
+                            ..
+                        }
+                )
+            },
+            Self::plan_recovery,
+            Verdict::None,
+        );
+        match attempt {
+            Err(e) if retryable(&e) => self.retry(),
+            other => other,
         }
     }
 
-    /// Books one failed re-placement attempt: exponential backoff (or
-    /// give-up past `max_retries`) plus a journaled `Retry`.
-    fn note_failed_attempt(&mut self) -> Result<(), ControllerError> {
-        let mut bookkeeping = None;
-        if let Some(rec) = &mut self.recovery {
-            if let Some(p) = &mut rec.pending {
-                p.attempts += 1;
-                if p.attempts > rec.config.max_retries {
-                    bookkeeping = Some((p.attempts, true, None));
-                    rec.pending = None;
-                } else {
-                    p.next_attempt_at = self.time + rec.config.backoff(p.attempts);
-                    bookkeeping = Some((p.attempts, false, Some(p.next_attempt_at)));
-                }
-            }
-        }
-        if let Some((attempts, gave_up, next_attempt_at)) = bookkeeping {
-            self.record(DecisionRecord::Retry {
-                time: self.time,
-                attempts,
-                gave_up,
-                next_attempt_at,
-                rng: self.rng.state(),
-            })?;
-        }
-        Ok(())
+    /// Books one failed re-placement attempt as a `Retry`: exponential
+    /// backoff, or giving up once `max_retries` attempts are spent (the
+    /// job then continues degraded).
+    fn retry(&mut self) -> Result<(), ControllerError> {
+        let Some((attempts, gave_up, next_attempt_at)) = self.recovery.as_ref().and_then(|r| {
+            let attempts = r.pending.as_ref()?.attempts + 1;
+            Some(if attempts > r.config.max_retries {
+                (attempts, true, None)
+            } else {
+                (
+                    attempts,
+                    false,
+                    Some(self.time + r.config.backoff(attempts)),
+                )
+            })
+        }) else {
+            return Ok(());
+        };
+        self.reconfigure(
+            |r| matches!(r, DecisionRecord::Retry { .. }),
+            |lp| {
+                Ok(DecisionRecord::Retry {
+                    time: lp.time,
+                    attempts,
+                    gave_up,
+                    next_attempt_at,
+                    rng: lp.rng.state(),
+                })
+            },
+            Verdict::None,
+        )
     }
 
     /// Resolves the pending recovery into trace events.
@@ -1333,106 +1518,6 @@ impl<'a> ClosedLoop<'a> {
         }
     }
 
-    /// Plans and starts an incremental migration for the pending
-    /// recovery: picks a minimum-movement target within the configured
-    /// tolerance of the best survivable plan, journals a
-    /// `MigratePrepare` (phase one), binds the epoch fence, and begins
-    /// the first wave inside the *live* simulation — nothing restarts;
-    /// only the moving wave's tasks pause. Returns `Ok(false)` when the
-    /// search cannot produce a tolerance band (infeasible or budget
-    /// exhausted): the caller falls back to a whole-plan redeploy.
-    fn migrate_redeploy(&mut self, rate_now: f64) -> Result<bool, ControllerError> {
-        let Some(cfg) = self.migration_cfg.clone() else {
-            return Ok(false);
-        };
-        let Some(retained) = self.state_transfer else {
-            return Ok(false);
-        };
-        let Some(mut search) = self.recovery.as_ref().map(|r| r.config.search.clone()) else {
-            return Ok(false);
-        };
-        let down = self.known_down();
-        search.free_slots = Some(self.free_slots(&down));
-        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
-            .map_err(ControllerError::Model)?;
-        let loads = self
-            .query
-            .load_model_at(&self.physical, rate_now)
-            .map_err(ControllerError::Model)?;
-        let ctx = PlacementContext {
-            logical: self.query.logical(),
-            physical: &self.physical,
-            cluster: self.cluster,
-            loads: &loads,
-        };
-        let (target, diff) =
-            match place_with_movemin(&ctx, &search, cfg.epsilon, &self.placement, &state) {
-                Ok(found) => found,
-                Err(e) if descends(&e) => return Ok(false),
-                Err(e) => return Err(ControllerError::Placement(e)),
-            };
-
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::MigratePrepare {
-            epoch,
-            time: self.time,
-            reason: RedeployReason::Recovery,
-            parallelism: self.query.logical().parallelism_vector(),
-            assignment: target.assignment().iter().map(|w| w.0).collect(),
-            rung: LadderRung::Caps,
-            moved: diff.moves().iter().map(|m| m.task.0).collect(),
-            wave_len: cfg.wave_size,
-            rate: rate_now,
-            rng: self.rng.state(),
-            search: Some(SearchDescriptor::of(&search)),
-        })?;
-        // The live simulation keeps running across the migration, but
-        // the migration itself must win the fence: a superseded zombie
-        // must not move tasks around.
-        self.sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-            SimError::StaleEpoch { attempted, current } => {
-                ControllerError::FencedEpoch { attempted, current }
-            }
-            other => ControllerError::Sim(other),
-        })?;
-        self.begin_migration(
-            epoch,
-            LadderRung::Caps,
-            target.assignment().iter().map(|w| w.0).collect(),
-            diff.moves().to_vec(),
-            cfg.wave_size,
-            down,
-        )?;
-        Ok(true)
-    }
-
-    /// Installs the migration state and starts its first wave (shared
-    /// by the live and replay paths; the caller has already journaled
-    /// or consumed the `MigratePrepare` and fenced/stamped the epoch).
-    fn begin_migration(
-        &mut self,
-        epoch: u64,
-        rung: LadderRung,
-        assignment: Vec<usize>,
-        moves: Vec<TaskMove>,
-        wave_len: usize,
-        known_down_at_start: Vec<WorkerId>,
-    ) -> Result<(), ControllerError> {
-        self.migration = Some(MigrationState {
-            epoch,
-            rung,
-            assignment,
-            moves,
-            wave_len: wave_len.max(1),
-            next_wave: 0,
-            in_flight: false,
-            known_down_at_start,
-        });
-        // Start the first wave now; an empty diff commits immediately.
-        self.advance_migration()
-    }
-
     /// Drives the in-flight migration one window forward: abandons it
     /// if a fresh worker death invalidated the target plan, waits while
     /// the current wave drains, journals a `MigrateStep` when a wave
@@ -1458,28 +1543,23 @@ impl<'a> ClosedLoop<'a> {
             self.sim.cancel_state_transfer();
             self.migration = None;
             self.open_wave = None;
-            return self.journal_abandoned_migration();
+            return self.retry();
         }
         if self.sim.state_transfer_active() {
             return Ok(()); // the current wave is still draining
         }
 
         // The wave that was in flight has landed: trace it, journal it.
-        if self.migration.as_ref().is_some_and(|m| m.in_flight) {
+        if let Some(m) = self.migration.as_mut().filter(|m| m.in_flight) {
+            m.in_flight = false;
+            let step = DecisionRecord::MigrateStep {
+                epoch: m.epoch,
+                wave: m.next_wave,
+                time: self.time,
+            };
+            m.next_wave += 1;
             self.close_open_wave();
-            let mut landed = None;
-            if let Some(m) = &mut self.migration {
-                m.in_flight = false;
-                landed = Some((m.epoch, m.next_wave));
-                m.next_wave += 1;
-            }
-            if let Some((epoch, wave)) = landed {
-                self.migrate_record(DecisionRecord::MigrateStep {
-                    epoch,
-                    wave,
-                    time: self.time,
-                })?;
-            }
+            self.phase_two(step)?;
         }
 
         // Start the next wave, or commit.
@@ -1522,7 +1602,7 @@ impl<'a> ClosedLoop<'a> {
                 let Some(mig) = self.migration.take() else {
                     return Ok(());
                 };
-                self.migrate_record(DecisionRecord::MigrateCommit {
+                self.phase_two(DecisionRecord::MigrateCommit {
                     epoch: mig.epoch,
                     time: self.time,
                 })?;
@@ -1533,71 +1613,6 @@ impl<'a> ClosedLoop<'a> {
                 Ok(())
             }
         }
-    }
-
-    /// Journals the abandonment of a migration as a failed attempt: a
-    /// live run books backoff and writes a `Retry` (which, following
-    /// the `MigratePrepare`/`MigrateStep`s, marks the migration
-    /// abandoned for any future replay); a replaying run consumes the
-    /// journaled `Retry` instead.
-    fn journal_abandoned_migration(&mut self) -> Result<(), ControllerError> {
-        let due_retry = matches!(
-            self.replay.front(),
-            Some(DecisionRecord::Retry { time, .. }) if replay_due(*time, self.time)
-        );
-        if due_retry {
-            if let Some(r) = self.replay.pop_front() {
-                return self.apply_replayed_retry(r);
-            }
-        }
-        if let Some(other) = self.replay.front() {
-            return Err(ControllerError::JournalReplay(format!(
-                "migration abandoned at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            )));
-        }
-        self.note_failed_attempt()
-    }
-
-    /// Journals a migration step or commit, consuming the journal's
-    /// matching front record when replaying. A journal that ends
-    /// mid-migration (the crash hit between records) rolls forward:
-    /// past the tail the records are written live.
-    fn migrate_record(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
-        let matches_front = match (self.replay.front(), &rec) {
-            (
-                Some(DecisionRecord::MigrateStep {
-                    epoch: je,
-                    wave: jw,
-                    time: jt,
-                }),
-                DecisionRecord::MigrateStep { epoch, wave, .. },
-            ) => je == epoch && jw == wave && replay_due(*jt, self.time),
-            (
-                Some(DecisionRecord::MigrateCommit {
-                    epoch: je,
-                    time: jt,
-                }),
-                DecisionRecord::MigrateCommit { epoch, .. },
-            ) => je == epoch && replay_due(*jt, self.time),
-            _ => false,
-        };
-        if matches_front {
-            if let Some(front) = self.replay.pop_front() {
-                return self.record_replayed(front);
-            }
-        }
-        if let Some(other) = self.replay.front() {
-            return Err(ControllerError::JournalReplay(format!(
-                "migration record due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            )));
-        }
-        self.record(rec)
     }
 
     /// Closes the trace's open state-transfer wave against the current
@@ -1615,90 +1630,79 @@ impl<'a> ClosedLoop<'a> {
         }
     }
 
-    /// Consumes the journal's front `MigratePrepare` and restarts its
-    /// migration: RNG and epoch restored from the record, the move list
-    /// re-derived from the deterministic state model, the first wave
-    /// begun. Subsequent `MigrateStep`s and the `MigrateCommit` (or the
-    /// `Retry` of an abandoned migration) are consumed as the replaying
-    /// loop reaches them.
-    fn apply_replayed_migrate(&mut self) -> Result<(), ControllerError> {
-        let Some(rec) = self.replay.pop_front() else {
-            return Err(ControllerError::JournalReplay(
-                "no migrate-prepare to replay".into(),
-            ));
-        };
-        let DecisionRecord::MigratePrepare {
-            epoch,
-            parallelism,
-            assignment,
-            rung,
-            moved,
-            wave_len,
-            rng,
-            ..
-        } = rec.clone()
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a migrate-prepare record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(rec)?;
-        if parallelism != self.query.logical().parallelism_vector() {
-            return Err(ControllerError::JournalReplay(
-                "journaled migration changes parallelism — migrations move tasks, they do \
-                 not scale"
-                    .into(),
-            ));
+    /// Decides a recovery re-placement live: an incremental migration
+    /// when one is configured and the search finds a tolerance band on
+    /// the survivors, else a whole-plan redeploy at the current
+    /// parallelism.
+    fn plan_recovery(&mut self) -> Result<DecisionRecord, ControllerError> {
+        let rate_now = self.schedule.rate_at(self.time).max(1.0);
+        match self.plan_migration(rate_now)? {
+            Some(rec) => Ok(rec),
+            None => self.plan_prepare(
+                self.query.logical().parallelism_vector(),
+                rate_now,
+                RedeployReason::Recovery,
+            ),
         }
-        let target = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        target.validate(&self.physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled migration target is invalid: {e}"))
-        })?;
-        let Some(retained) = self.state_transfer else {
-            return Err(ControllerError::JournalReplay(
-                "journal contains a migration but state-transfer charging is not configured"
-                    .into(),
-            ));
-        };
-        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
-            .map_err(ControllerError::Model)?;
-        let diff = PlanDiff::between(&self.placement, &target, &state)
-            .map_err(ControllerError::Model)?;
-        let expected: Vec<usize> = diff.moves().iter().map(|m| m.task.0).collect();
-        if moved != expected {
-            return Err(ControllerError::JournalReplay(
-                "journaled move set does not match the difference between the incumbent and \
-                 target plans"
-                    .into(),
-            ));
-        }
-        self.sim.stamp_epoch(epoch);
-        let down = self.known_down();
-        self.begin_migration(epoch, rung, assignment, diff.moves().to_vec(), wave_len, down)
     }
 
-    /// Applies a parallelism vector through the two-phase protocol.
-    ///
-    /// Phase 0 computes the whole plan (new physical graph, placement
-    /// from the degradation ladder when workers are down, otherwise the
-    /// configured strategy) into locals, so a failed search leaves the
-    /// running deployment intact. Phase 1 journals a `Prepare` with the
-    /// plan and post-search RNG state *before* anything is touched.
-    /// Phase 2 deploys under the epoch fence and journals the `Commit`.
-    /// A crash between the phases leaves the `Prepare` at the journal
-    /// tail; recovery rolls it forward. A deployment failure after the
-    /// `Prepare` is followed (on the recovery path) by a journaled
-    /// `Retry`, which marks the `Prepare` abandoned.
-    fn redeploy(
+    /// Plans an incremental migration for the pending recovery: a
+    /// minimum-movement target within the configured tolerance of the
+    /// best survivable plan, returned as its `MigratePrepare`. `None`
+    /// when migration is off or the search cannot produce a tolerance
+    /// band (infeasible or budget exhausted): the caller falls back to a
+    /// whole-plan redeploy.
+    fn plan_migration(&self, rate_now: f64) -> Result<Option<DecisionRecord>, ControllerError> {
+        let (Some(cfg), Some(retained), Some(rec)) =
+            (&self.migration_cfg, self.state_transfer, &self.recovery)
+        else {
+            return Ok(None);
+        };
+        let mut search = rec.config.search.clone();
+        search.free_slots = Some(self.free_slots(&self.known_down()));
+        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
+            .map_err(ControllerError::Model)?;
+        let loads = self
+            .query
+            .load_model_at(&self.physical, rate_now)
+            .map_err(ControllerError::Model)?;
+        let ctx = PlacementContext {
+            logical: self.query.logical(),
+            physical: &self.physical,
+            cluster: self.cluster,
+            loads: &loads,
+        };
+        let (target, diff) =
+            match place_with_movemin(&ctx, &search, cfg.epsilon, &self.placement, &state) {
+                Ok(found) => found,
+                Err(e) if descends(&e) => return Ok(None),
+                Err(e) => return Err(ControllerError::Placement(e)),
+            };
+        Ok(Some(DecisionRecord::MigratePrepare {
+            epoch: self.epoch + 1,
+            time: self.time,
+            reason: RedeployReason::Recovery,
+            parallelism: self.query.logical().parallelism_vector(),
+            assignment: target.assignment().iter().map(|w| w.0).collect(),
+            rung: LadderRung::Caps,
+            moved: diff.moves().iter().map(|m| m.task.0).collect(),
+            wave_len: cfg.wave_size,
+            rate: rate_now,
+            rng: self.rng.state(),
+            search: Some(SearchDescriptor::of(&search)),
+        }))
+    }
+
+    /// Searches a whole plan for `parallelism` and returns its `Prepare`.
+    /// With workers down the degradation ladder places on the survivors;
+    /// otherwise the configured strategy runs. The search works on
+    /// locals, so a failed one leaves the running deployment intact.
+    fn plan_prepare(
         &mut self,
         parallelism: Vec<usize>,
         rate_now: f64,
-        record_scaling: bool,
-    ) -> Result<LadderRung, ControllerError> {
+        reason: RedeployReason,
+    ) -> Result<DecisionRecord, ControllerError> {
         let query = self
             .query
             .with_parallelism(&parallelism)
@@ -1714,7 +1718,7 @@ impl<'a> ClosedLoop<'a> {
             loads: &loads,
         };
         let down = self.known_down();
-        let (placement, rung, search_desc) = match (&self.recovery, down.is_empty()) {
+        let (placement, rung, search) = match (&self.recovery, down.is_empty()) {
             (Some(rec), false) => {
                 let mut search = rec.config.search.clone();
                 search.free_slots = Some(self.free_slots(&down));
@@ -1730,59 +1734,255 @@ impl<'a> ClosedLoop<'a> {
                 self.strategy.search_descriptor(),
             ),
         };
-
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        let reason = if record_scaling {
-            RedeployReason::Scaling
-        } else {
-            RedeployReason::Recovery
-        };
-        self.record(DecisionRecord::Prepare {
-            epoch,
+        Ok(DecisionRecord::Prepare {
+            epoch: self.epoch + 1,
             time: self.time,
             reason,
-            parallelism: parallelism.clone(),
+            parallelism,
             assignment: placement.assignment().iter().map(|w| w.0).collect(),
             rung,
             rate: rate_now,
             rng: self.rng.state(),
-            search: search_desc,
-        })?;
+            search,
+        })
+    }
 
-        self.deploy(query, physical, placement, epoch, true)?;
-        self.record(DecisionRecord::Commit {
+    /// Applies a decision — live, or read back from the journal — and
+    /// settles it. Validates it against the plan (and the re-derived
+    /// verdict), puts the deployment under its epoch (the one step that
+    /// differs by `source`, see [`enter_epoch`]), and then:
+    ///
+    /// * `Prepare` / `Rollback`: deploys the whole plan, commits, and
+    ///   books the scaling event, recovery or rollback;
+    /// * `Shed`: sets the source-side shed fraction on the running
+    ///   simulation, commits, and books the shed change;
+    /// * `MigratePrepare`: starts the migration's first wave (its waves
+    ///   and commit are journaled as they land);
+    /// * `Retry`: installs the failed attempt's backoff bookkeeping.
+    fn apply(
+        &mut self,
+        rec: DecisionRecord,
+        source: Source,
+        verdict: Verdict<'_>,
+    ) -> Result<(), ControllerError> {
+        match (rec, verdict) {
+            (
+                DecisionRecord::Prepare {
+                    epoch,
+                    reason,
+                    parallelism,
+                    assignment,
+                    rung,
+                    ..
+                },
+                _,
+            ) => {
+                self.apply_plan(epoch, &parallelism, &assignment, source)?;
+                match reason {
+                    RedeployReason::Scaling => {
+                        self.events.push(ScalingEvent {
+                            time: self.time,
+                            parallelism,
+                            slots: self.physical.num_tasks(),
+                        });
+                        let snap = self.snapshot();
+                        if let Some(gov) = &mut self.guard {
+                            gov.on_scaling_deploy(self.time, snap);
+                        }
+                    }
+                    RedeployReason::Recovery => self.finish_recovery(rung),
+                }
+                Ok(())
+            }
+            (
+                DecisionRecord::Rollback {
+                    epoch,
+                    from_epoch,
+                    parallelism,
+                    assignment,
+                    ..
+                },
+                Verdict::Rollback(req),
+            ) => {
+                if parallelism != req.to.parallelism
+                    || assignment != req.to.assignment
+                    || from_epoch != req.regressed.epoch
+                {
+                    return Err(ControllerError::JournalReplay(
+                        "journaled rollback does not match the re-derived governor verdict".into(),
+                    ));
+                }
+                self.apply_plan(epoch, &parallelism, &assignment, source)?;
+                self.finish_rollback(req, epoch);
+                Ok(())
+            }
+            (
+                DecisionRecord::Shed {
+                    epoch, fraction, ..
+                },
+                Verdict::Shed(req),
+            ) => {
+                if (fraction - req.fraction).abs() > 1e-12 {
+                    return Err(ControllerError::JournalReplay(format!(
+                        "journaled shed fraction {fraction} does not match the re-derived \
+                         verdict {}",
+                        req.fraction
+                    )));
+                }
+                // No plan change and no sim swap: the fence binds on the
+                // running simulation, exactly like a migration wave.
+                enter_epoch(&mut self.sim, &self.fence, epoch, source)?;
+                let from_fraction = self.sim.shed_fraction();
+                self.sim.set_shed_fraction(fraction);
+                self.phase_two(DecisionRecord::Commit {
+                    epoch,
+                    time: self.time,
+                })?;
+                self.finish_shed(req, epoch, from_fraction);
+                Ok(())
+            }
+            (
+                DecisionRecord::MigratePrepare {
+                    epoch,
+                    parallelism,
+                    assignment,
+                    rung,
+                    moved,
+                    wave_len,
+                    ..
+                },
+                _,
+            ) => {
+                if parallelism != self.query.logical().parallelism_vector() {
+                    return Err(ControllerError::JournalReplay(
+                        "journaled migration changes parallelism — migrations move tasks, they \
+                         do not scale"
+                            .into(),
+                    ));
+                }
+                let target = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
+                target.validate(&self.physical, self.cluster).map_err(|e| {
+                    ControllerError::JournalReplay(format!(
+                        "journaled migration target is invalid: {e}"
+                    ))
+                })?;
+                let Some(retained) = self.state_transfer else {
+                    return Err(ControllerError::JournalReplay(
+                        "journal contains a migration but state-transfer charging is not \
+                         configured"
+                            .into(),
+                    ));
+                };
+                let state = StateModel::derive(self.query.logical(), &self.physical, retained)
+                    .map_err(ControllerError::Model)?;
+                let diff = PlanDiff::between(&self.placement, &target, &state)
+                    .map_err(ControllerError::Model)?;
+                let expected: Vec<usize> = diff.moves().iter().map(|m| m.task.0).collect();
+                if moved != expected {
+                    return Err(ControllerError::JournalReplay(
+                        "journaled move set does not match the difference between the \
+                         incumbent and target plans"
+                            .into(),
+                    ));
+                }
+                // The live simulation keeps running across the
+                // migration, but the migration itself must win the
+                // fence: a superseded zombie must not move tasks around.
+                enter_epoch(&mut self.sim, &self.fence, epoch, source)?;
+                self.migration = Some(MigrationState {
+                    epoch,
+                    rung,
+                    assignment,
+                    moves: diff.moves().to_vec(),
+                    wave_len: wave_len.max(1),
+                    next_wave: 0,
+                    in_flight: false,
+                    known_down_at_start: self.known_down(),
+                });
+                // Start the first wave now; an empty diff commits
+                // immediately.
+                self.advance_migration()
+            }
+            (
+                DecisionRecord::Retry {
+                    attempts,
+                    gave_up,
+                    next_attempt_at,
+                    ..
+                },
+                _,
+            ) => {
+                if let Some(state) = &mut self.recovery {
+                    if gave_up {
+                        state.pending = None;
+                    } else if let Some(p) = &mut state.pending {
+                        p.attempts = attempts;
+                        if let Some(t) = next_attempt_at {
+                            p.next_attempt_at = t;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            (rec, _) => Err(ControllerError::JournalReplay(format!(
+                "the journaled decision at t={:.3} does not answer the verdict due now",
+                rec.time()
+            ))),
+        }
+    }
+
+    /// Deploys the whole plan a `Prepare` or `Rollback` names, then
+    /// commits it.
+    fn apply_plan(
+        &mut self,
+        epoch: u64,
+        parallelism: &[usize],
+        assignment: &[usize],
+        source: Source,
+    ) -> Result<(), ControllerError> {
+        let query = self.query.with_parallelism(parallelism).map_err(|e| {
+            ControllerError::JournalReplay(format!(
+                "journaled parallelism does not fit the query: {e}"
+            ))
+        })?;
+        let physical = query.physical();
+        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
+        placement.validate(&physical, self.cluster).map_err(|e| {
+            ControllerError::JournalReplay(format!("journaled placement is invalid: {e}"))
+        })?;
+        self.deploy(query, physical, placement, epoch, source)?;
+        self.phase_two(DecisionRecord::Commit {
             epoch,
             time: self.time,
-        })?;
-        if record_scaling {
-            self.events.push(ScalingEvent {
-                time: self.time,
-                parallelism,
-                slots: self.physical.num_tasks(),
-            });
-            let snap = self.snapshot();
-            if let Some(gov) = &mut self.guard {
-                gov.on_scaling_deploy(self.time, snap);
-            }
+        })
+    }
+
+    /// The commit step: journals a phase-two record — `Commit`,
+    /// `MigrateStep` or `MigrateCommit` — once its change is applied. While replaying it
+    /// consumes the journal's copy; past the tail it writes the record
+    /// live, which rolls an in-doubt reconfiguration forward (we are the
+    /// surviving controller now). A `Retry` in its place means the
+    /// crashed run abandoned the change, which a faithful replay cannot
+    /// have applied: it fails as a diverged replay.
+    fn phase_two(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
+        if self.journaled(|r| same_phase_two(r, &rec))?.is_none() {
+            self.record(rec)?;
         }
-        Ok(rung)
+        Ok(())
     }
 
     /// Swaps in a new deployment: a fresh simulation (the
     /// restart-from-savepoint analogue) with the chaos state accumulated
-    /// so far and the unfired fault-schedule suffix carried over. With
-    /// `fenced`, the new simulation must win the epoch fence first — a
-    /// stale epoch leaves the current deployment untouched and surfaces
-    /// as [`ControllerError::FencedEpoch`]. Replay deploys unfenced: the
-    /// journal, not the fence, is the authority on what was deployed.
+    /// so far and the unfired fault-schedule suffix carried over. The
+    /// new simulation enters `epoch` last (see [`enter_epoch`]); every
+    /// failure leaves the current deployment untouched.
     fn deploy(
         &mut self,
         query: Query,
         physical: PhysicalGraph,
         placement: Placement,
         epoch: u64,
-        fenced: bool,
+        source: Source,
     ) -> Result<(), ControllerError> {
         // Chaos state accumulated before the restart must survive it.
         let failed: Vec<bool> = self.sim.failed_workers().to_vec();
@@ -1879,16 +2079,7 @@ impl<'a> ClosedLoop<'a> {
                 });
             }
         }
-        if fenced {
-            sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-                SimError::StaleEpoch { attempted, current } => {
-                    ControllerError::FencedEpoch { attempted, current }
-                }
-                other => ControllerError::Sim(other),
-            })?;
-        } else {
-            sim.stamp_epoch(epoch);
-        }
+        enter_epoch(&mut sim, &self.fence, epoch, source)?;
         // A still-draining wave of the outgoing deployment ends here:
         // close it against the old simulation before it is dropped.
         self.close_open_wave();
@@ -1899,263 +2090,6 @@ impl<'a> ClosedLoop<'a> {
         self.open_wave = restore_wave;
         self.last_action = self.time;
         self.recent.clear();
-        Ok(())
-    }
-
-    /// Replay counterpart of [`ClosedLoop::attempt_recovery`]: consumes
-    /// the journal's record of what this attempt did — a `Retry`
-    /// (failed attempt: restore backoff bookkeeping) or a recovery
-    /// `Prepare` (apply its fate). An exhausted cursor means the crashed
-    /// run died before this attempt: take it live.
-    fn replay_recovery_step(&mut self) -> Result<(), ControllerError> {
-        let front = match self.replay.front().cloned() {
-            None => return self.attempt_recovery(),
-            Some(r) => r,
-        };
-        match front {
-            DecisionRecord::Retry { time, .. } if replay_due(time, self.time) => {
-                self.replay.pop_front();
-                self.apply_replayed_retry(front)
-            }
-            DecisionRecord::MigratePrepare { time, .. } if replay_due(time, self.time) => {
-                self.apply_replayed_migrate()
-            }
-            DecisionRecord::Prepare {
-                reason: RedeployReason::Recovery,
-                time,
-                ..
-            } if replay_due(time, self.time) => {
-                match self.apply_replayed_redeploy()? {
-                    Some(rung) => {
-                        self.finish_recovery(rung);
-                        Ok(())
-                    }
-                    // Abandoned prepare: the crashed run failed to
-                    // deploy it; the following Retry carries the
-                    // backoff bookkeeping.
-                    None => match self.replay.front().cloned() {
-                        Some(r @ DecisionRecord::Retry { .. }) => {
-                            self.replay.pop_front();
-                            self.apply_replayed_retry(r)
-                        }
-                        _ => Err(ControllerError::JournalReplay(
-                            "abandoned prepare not followed by a retry".into(),
-                        )),
-                    },
-                }
-            }
-            other => Err(ControllerError::JournalReplay(format!(
-                "recovery attempt due at t={:.3}, but the journal's next decision is from t={:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            ))),
-        }
-    }
-
-    /// Replay counterpart of a DS2 evaluation step: applies the
-    /// journal's scaling `Prepare` when one is due now; otherwise (the
-    /// live run decided nothing here) does nothing. A journaled decision
-    /// strictly in the past means the replay diverged.
-    fn replay_scaling_step(&mut self) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front() else {
-            return Ok(());
-        };
-        if front.time() < self.time - REPLAY_TIME_EPS {
-            return Err(ControllerError::JournalReplay(format!(
-                "journaled decision at t={:.3} was never replayed (clock is at t={:.3}): \
-                 the replay diverged from the run that wrote the journal",
-                front.time(),
-                self.time
-            )));
-        }
-        let due_scaling = matches!(
-            front,
-            DecisionRecord::Prepare {
-                reason: RedeployReason::Scaling,
-                time,
-                ..
-            } if replay_due(*time, self.time)
-        );
-        if due_scaling && self.apply_replayed_redeploy()?.is_none() {
-            // A scaling redeploy that fails to deploy aborts the live
-            // run — it can never leave an abandoned Prepare behind.
-            return Err(ControllerError::JournalReplay(
-                "a journaled scaling reconfiguration was abandoned mid-flight".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Restores one journaled `Retry`: the crashed run's failed
-    /// re-placement attempt, with its post-search RNG state and backoff
-    /// bookkeeping.
-    fn apply_replayed_retry(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
-        let DecisionRecord::Retry {
-            attempts,
-            gave_up,
-            next_attempt_at,
-            rng,
-            ..
-        } = rec
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a retry record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        if let Some(state) = &mut self.recovery {
-            if gave_up {
-                state.pending = None;
-            } else if let Some(p) = &mut state.pending {
-                p.attempts = attempts;
-                if let Some(t) = next_attempt_at {
-                    p.next_attempt_at = t;
-                }
-            }
-        }
-        self.record_replayed(DecisionRecord::Retry {
-            time: self.time,
-            attempts,
-            gave_up,
-            next_attempt_at,
-            rng,
-        })
-    }
-
-    /// Consumes the journal's front `Prepare` and settles its fate:
-    ///
-    /// * followed by its `Commit` — the reconfiguration was applied;
-    ///   deploy the journaled plan (no search, RNG restored from the
-    ///   record) and consume the `Commit`;
-    /// * followed by a `Retry` — the crashed run failed to deploy it;
-    ///   do **not** deploy (returns `None`, the `Retry` stays for the
-    ///   caller);
-    /// * at the journal tail — in doubt: the crash hit between the
-    ///   phases. Roll forward: deploy and journal the `Commit` live,
-    ///   finishing the protocol the dead controller started.
-    ///
-    /// Replayed deploys stamp their epoch without consulting the fence —
-    /// the journal is the authority on what was deployed.
-    fn apply_replayed_redeploy(&mut self) -> Result<Option<LadderRung>, ControllerError> {
-        let Some(rec) = self.replay.pop_front() else {
-            return Err(ControllerError::JournalReplay("no prepare to replay".into()));
-        };
-        let DecisionRecord::Prepare {
-            epoch,
-            reason,
-            parallelism,
-            assignment,
-            rung,
-            rng,
-            ..
-        } = rec.clone()
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a prepare record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(rec)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match prepare epoch {epoch}"
-                )));
-            }
-            Some(DecisionRecord::Retry { .. }) => return Ok(None),
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "prepare (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is neither its commit nor a retry",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-
-        let query = self.query.with_parallelism(&parallelism).map_err(|e| {
-            ControllerError::JournalReplay(format!(
-                "journaled parallelism does not fit the query: {e}"
-            ))
-        })?;
-        let physical = query.physical();
-        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled placement is invalid: {e}"))
-        })?;
-        self.deploy(query, physical, placement, epoch, false)?;
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        if matches!(reason, RedeployReason::Scaling) {
-            self.events.push(ScalingEvent {
-                time: self.time,
-                parallelism,
-                slots: self.physical.num_tasks(),
-            });
-            let snap = self.snapshot();
-            if let Some(gov) = &mut self.guard {
-                gov.on_scaling_deploy(self.time, snap);
-            }
-        }
-        Ok(Some(rung))
-    }
-
-    /// Rolls the deployment back to the governor's last-known-good plan
-    /// through the two-phase protocol: journal the `Rollback` (restored
-    /// plan plus pre-deploy RNG state), deploy under the epoch fence,
-    /// journal the `Commit`. A crash between the phases leaves the
-    /// `Rollback` at the journal tail; recovery rolls it forward exactly
-    /// like an in-doubt `Prepare`.
-    fn rollback_redeploy(&mut self, req: &RollbackRequest) -> Result<(), ControllerError> {
-        let query = self
-            .query
-            .with_parallelism(&req.to.parallelism)
-            .map_err(|e| {
-                ControllerError::InvalidConfig(format!(
-                    "rollback target plan is no longer deployable: {e}"
-                ))
-            })?;
-        let physical = query.physical();
-        let placement = Placement::new(req.to.assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::InvalidConfig(format!(
-                "rollback target plan is no longer deployable: {e}"
-            ))
-        })?;
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::Rollback {
-            epoch,
-            time: self.time,
-            from_epoch: req.regressed.epoch,
-            parallelism: req.to.parallelism.clone(),
-            assignment: req.to.assignment.clone(),
-            rng: self.rng.state(),
-        })?;
-        self.deploy(query, physical, placement, epoch, true)?;
-        self.record(DecisionRecord::Commit {
-            epoch,
-            time: self.time,
-        })?;
-        self.finish_rollback(req, epoch);
         Ok(())
     }
 
@@ -2178,130 +2112,6 @@ impl<'a> ClosedLoop<'a> {
         });
     }
 
-    /// Replay counterpart of [`ClosedLoop::rollback_redeploy`]: the
-    /// governor re-derived the same verdict the crashed run journaled, so
-    /// the cursor's front must be the matching `Rollback`. Deploys
-    /// unfenced from the record; a `Rollback` at the journal tail is
-    /// rolled forward — its `Commit` is journaled live. An exhausted
-    /// cursor means the crashed run died before this verdict: take it
-    /// live.
-    fn replay_rollback_step(&mut self, req: &RollbackRequest) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front().cloned() else {
-            return self.rollback_redeploy(req);
-        };
-        let DecisionRecord::Rollback {
-            epoch,
-            time,
-            from_epoch,
-            parallelism,
-            assignment,
-            rng,
-        } = front.clone()
-        else {
-            return Err(ControllerError::JournalReplay(format!(
-                "governor rollback due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                front.time()
-            )));
-        };
-        if !replay_due(time, self.time) {
-            return Err(ControllerError::JournalReplay(format!(
-                "governor rollback due at t={:.3}, but the journaled rollback is from t={time:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time
-            )));
-        }
-        if parallelism != req.to.parallelism
-            || assignment != req.to.assignment
-            || from_epoch != req.regressed.epoch
-        {
-            return Err(ControllerError::JournalReplay(
-                "journaled rollback does not match the re-derived governor verdict".into(),
-            ));
-        }
-        self.replay.pop_front();
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(front)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match rollback epoch {epoch}"
-                )));
-            }
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "rollback (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is not its commit",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-        let query = self.query.with_parallelism(&parallelism).map_err(|e| {
-            ControllerError::JournalReplay(format!(
-                "journaled parallelism does not fit the query: {e}"
-            ))
-        })?;
-        let physical = query.physical();
-        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled placement is invalid: {e}"))
-        })?;
-        self.deploy(query, physical, placement, epoch, false)?;
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        self.finish_rollback(req, epoch);
-        Ok(())
-    }
-
-    /// Applies an admission-controller verdict through the two-phase
-    /// protocol: journal the `Shed` (new fraction plus RNG state), fence
-    /// the running simulation to the new epoch, set the source-side shed
-    /// fraction, journal the `Commit`. No plan changes and no sim swap —
-    /// the fence binds on the existing simulation, exactly like a
-    /// migration wave. A crash between the phases leaves the `Shed` at
-    /// the journal tail; recovery rolls it forward.
-    fn shed_redeploy(&mut self, req: &ShedRequest) -> Result<(), ControllerError> {
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::Shed {
-            epoch,
-            time: self.time,
-            fraction: req.fraction,
-            rng: self.rng.state(),
-        })?;
-        self.sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-            SimError::StaleEpoch { attempted, current } => {
-                ControllerError::FencedEpoch { attempted, current }
-            }
-            other => ControllerError::Sim(other),
-        })?;
-        let from_fraction = self.sim.shed_fraction();
-        self.sim.set_shed_fraction(req.fraction);
-        self.record(DecisionRecord::Commit {
-            epoch,
-            time: self.time,
-        })?;
-        self.finish_shed(req, epoch, from_fraction);
-        Ok(())
-    }
-
     /// Settles an applied shed change: admission-controller bookkeeping
     /// plus a [`ShedEvent`] on the trace. `from_fraction` is the
     /// fraction in force before this change.
@@ -2317,86 +2127,6 @@ impl<'a> ClosedLoop<'a> {
             offered: req.offered,
             capacity: req.capacity,
         });
-    }
-
-    /// Replay counterpart of [`ClosedLoop::shed_redeploy`]: the admission
-    /// controller re-derived the same verdict from the identical metric
-    /// stream, so the cursor's front must be the matching `Shed`. A
-    /// `Shed` at the journal tail is rolled forward — its `Commit` is
-    /// journaled live. An exhausted cursor means the crashed run died
-    /// before this verdict: take it live.
-    fn replay_shed_step(&mut self, req: &ShedRequest) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front().cloned() else {
-            return self.shed_redeploy(req);
-        };
-        let DecisionRecord::Shed {
-            epoch,
-            time,
-            fraction,
-            rng,
-        } = front.clone()
-        else {
-            return Err(ControllerError::JournalReplay(format!(
-                "shed change due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                front.time()
-            )));
-        };
-        if !replay_due(time, self.time) {
-            return Err(ControllerError::JournalReplay(format!(
-                "shed change due at t={:.3}, but the journaled shed is from t={time:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time
-            )));
-        }
-        if (fraction - req.fraction).abs() > 1e-12 {
-            return Err(ControllerError::JournalReplay(format!(
-                "journaled shed fraction {fraction} does not match the re-derived \
-                 verdict {}",
-                req.fraction
-            )));
-        }
-        self.replay.pop_front();
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(front)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match shed epoch {epoch}"
-                )));
-            }
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "shed (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is not its commit",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-        self.sim.stamp_epoch(epoch);
-        let from_fraction = self.sim.shed_fraction();
-        self.sim.set_shed_fraction(fraction);
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        self.finish_shed(req, epoch, from_fraction);
-        Ok(())
     }
 }
 

@@ -14,7 +14,8 @@
 #   5. full test suite (debug), including the determinism golden test;
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
-#   6. determinism golden test again in release (debug/release parity);
+#   6. determinism golden tests again in release (debug/release parity):
+#      the pinned plan and the pinned decision journals and traces;
 #   7. one smoke bench end-to-end, emitting a timing result;
 #   8. chaos smoke — seeded fault injection + self-healing recovery
 #      under three distinct seeds, each with a same-seed replay check;
@@ -182,8 +183,9 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "6/15" "determinism golden test (release)"
+step "6/15" "determinism golden tests (release)"
 cargo test -q --release --test golden_determinism
+cargo test -q --release --test golden_journals
 step_done
 
 step "7/15" "smoke bench (quick mode, end-to-end)"
