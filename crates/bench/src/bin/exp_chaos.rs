@@ -10,7 +10,7 @@
 //! throughput-loss area of the outage, and whether two runs with the
 //! same seed replay identically.
 //!
-//! Usage: `exp_chaos [--seed N] [--quick]`
+//! Usage: `exp_chaos [--seed N] [--smoke]`
 
 use std::time::Duration;
 
@@ -22,29 +22,6 @@ use capsys_model::{Cluster, RateSchedule, WorkerSpec};
 use capsys_placement::CapsStrategy;
 use capsys_queries::q1_sliding;
 use capsys_sim::{ChaosConfig, FaultPlan, SimConfig};
-
-/// Minimal std-only flag parsing: `--seed N` and `--quick`.
-fn parse_args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut quick = fast_mode();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
-            }
-            "--quick" => quick = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    (seed, quick)
-}
 
 fn chaos_config(seed: u64, horizon: f64) -> ChaosConfig {
     ChaosConfig {
@@ -141,13 +118,14 @@ fn report(name: &str, trace: &ClosedLoopTrace, duration: f64) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (seed, quick) = parse_args();
+    let capsys_bench::ExpArgs { seed, smoke } = capsys_bench::exp_args(true);
+    let smoke = smoke || fast_mode();
     banner(
         "Chaos",
         "fault injection + self-healing recovery",
         "robustness extension (not a paper figure)",
     );
-    let duration = if quick { 240.0 } else { 600.0 };
+    let duration = if smoke { 240.0 } else { 600.0 };
     println!("Q1-sliding, seed {seed}, {duration}s, 6 workers, 1 crash + 1 straggler + 1 blackout\n");
 
     // Full ladder: auto-tuned CAPS first.

@@ -45,29 +45,6 @@ use capsys_placement::FlinkDefault;
 use capsys_sim::{DeciderFault, DeciderFaultKind, DeciderTarget, FaultPlan, KillPoint, SimConfig};
 use capsys_util::json::{obj, Json};
 
-/// Minimal std-only flag parsing: `--seed N` and `--smoke`.
-fn parse_args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
-            }
-            "--smoke" => smoke = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    (seed, smoke)
-}
-
 /// Fixed fleet-shape parameters for one mode.
 struct Shape {
     workers: usize,
@@ -299,7 +276,7 @@ fn fingerprint(o: &FleetOutcome) -> String {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let started = Instant::now();
-    let (seed, smoke) = parse_args();
+    let capsys_bench::ExpArgs { seed, smoke } = capsys_bench::exp_args(true);
     banner(
         "Fleet",
         "sharded multi-tenant control plane with lease-fenced failover",

@@ -15,7 +15,7 @@
 //! rolled back, oscillations bounded), and self-asserts both outcomes
 //! plus seed-determinism of the governed run.
 //!
-//! Usage: `exp_guard [--seed N] [--quick]`
+//! Usage: `exp_guard [--seed N] [--smoke]`
 
 use capsys_bench::{banner, fast_mode, fmt_rate};
 use capsys_controller::{ClosedLoop, ClosedLoopTrace, GuardConfig};
@@ -26,29 +26,6 @@ use capsys_queries::q1_sliding;
 use capsys_sim::{ChaosConfig, FaultPlan, SimConfig};
 
 const POLICY_INTERVAL: f64 = 5.0;
-
-/// Minimal std-only flag parsing: `--seed N` and `--quick`.
-fn parse_args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut quick = fast_mode();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
-            }
-            "--quick" => quick = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    (seed, quick)
-}
 
 /// The scenario's fault plan: exactly one model-skew fault, no other
 /// chaos, so every effect in the trace is the governor's.
@@ -142,13 +119,14 @@ fn tracking(trace: &ClosedLoopTrace, from: f64, to: f64) -> f64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (seed, quick) = parse_args();
+    let capsys_bench::ExpArgs { seed, smoke } = capsys_bench::exp_args(true);
+    let smoke = smoke || fast_mode();
     banner(
         "Guard",
         "reconfiguration safety governor under model skew",
         "robustness extension (not a paper figure)",
     );
-    let duration = if quick { 300.0 } else { 600.0 };
+    let duration = if smoke { 300.0 } else { 600.0 };
     let sc = scenario(seed, duration)?;
     let skew = sc.plan.model_skew.expect("scenario has a skew");
     println!(

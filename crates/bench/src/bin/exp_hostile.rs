@@ -54,17 +54,6 @@ const POLICY_INTERVAL: f64 = 5.0;
 /// counts as goodput when its end-to-end latency estimate is below this.
 const SLO_SECONDS: f64 = 5.0;
 
-fn parse_args() -> bool {
-    let mut smoke = capsys_bench::fast_mode();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--smoke" | "--quick" => smoke = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    smoke
-}
-
 fn cluster() -> Cluster {
     Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).expect("cluster")
 }
@@ -503,7 +492,7 @@ fn overload_scenario(seed: u64, duration: f64) -> Json {
 
 fn main() {
     let started = Instant::now();
-    let smoke = parse_args();
+    let smoke = capsys_bench::exp_args(false).smoke || capsys_bench::fast_mode();
     banner(
         "Hostile",
         "adversarial traffic: governor drift A/B, overload shedding, crash replay",

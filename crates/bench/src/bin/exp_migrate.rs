@@ -40,29 +40,6 @@ const RETAINED_RECORDS: f64 = 2e5;
 const EPSILON: f64 = 0.05;
 const CRASH_AT: f64 = 60.0;
 
-/// Minimal std-only flag parsing: `--seed N` and `--smoke`.
-fn parse_args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
-            }
-            "--smoke" => smoke = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    (seed, smoke)
-}
-
 fn ds2() -> Ds2Config {
     // A huge activation period keeps DS2 out of the way after its
     // initial right-sizing: the recovery is the reconfiguration under
@@ -278,7 +255,7 @@ fn check_optimizer(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (seed, smoke) = parse_args();
+    let capsys_bench::ExpArgs { seed, smoke } = capsys_bench::exp_args(true);
     banner(
         "Migration",
         "incremental minimum-movement migration vs whole-plan redeploy",

@@ -78,20 +78,6 @@ fn symmetric_query() -> (LogicalGraph, HashMap<OperatorId, f64>) {
     (b.build().expect("symmetric graph"), rates)
 }
 
-fn parse_args() -> bool {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown argument: {other} (supported: --smoke)");
-                std::process::exit(2);
-            }
-        }
-    }
-    smoke
-}
-
 /// Fastest of the timed reps. On a shared runner, scheduler noise only
 /// ever *adds* wall time, so the minimum is the robust estimator of what
 /// the search can actually sustain — a median would bounce with the
@@ -101,7 +87,7 @@ fn best(xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let smoke = parse_args();
+    let smoke = capsys_bench::exp_args(false).smoke;
     banner(
         "Search perf",
         "nodes/sec, thread scaling, auto-tune warm-start",

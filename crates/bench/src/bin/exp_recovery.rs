@@ -30,29 +30,6 @@ use capsys_sim::{
     ChaosConfig, EpochFence, FaultEvent, FaultKind, FaultPlan, KillPoint, ModelSkew, SimConfig,
 };
 
-/// Minimal std-only flag parsing: `--seed N` and `--smoke`.
-fn parse_args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
-            }
-            "--smoke" => smoke = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
-        }
-    }
-    (seed, smoke)
-}
-
 /// One self-contained scenario the sweep runs against.
 struct Scenario {
     name: &'static str,
@@ -589,7 +566,7 @@ fn zombie_case(seed: u64, duration: f64) -> Result<(), Box<dyn std::error::Error
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (seed, smoke) = parse_args();
+    let capsys_bench::ExpArgs { seed, smoke } = capsys_bench::exp_args(true);
     banner(
         "Recovery",
         "kill-at-every-decision crash-recovery sweep",

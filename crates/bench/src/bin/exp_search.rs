@@ -187,20 +187,6 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn parse_args() -> bool {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown argument: {other} (supported: --smoke)");
-                std::process::exit(2);
-            }
-        }
-    }
-    smoke
-}
-
 fn best_cost(out: &SearchOutcome) -> Option<f64> {
     out.feasible
         .iter()
@@ -257,7 +243,7 @@ fn assert_monotone(out: &SearchOutcome, label: &str) {
 }
 
 fn main() {
-    let smoke = parse_args();
+    let smoke = capsys_bench::exp_args(false).smoke;
     banner(
         "exp_search",
         "anytime search quality: DFS vs MCTS under a node budget",

@@ -7,7 +7,7 @@
 //! recorded run.
 
 #![warn(missing_docs)]
-use std::collections::HashMap;
+#![forbid(unsafe_code)]
 
 use capsys_model::{Cluster, OperatorId, Placement, WorkerId};
 use capsys_queries::Query;
@@ -19,6 +19,58 @@ pub fn fast_mode() -> bool {
     std::env::var("CAPSYS_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// The command line of a self-asserting `exp_*` harness:
+/// `[--seed <u64>] [--smoke]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExpArgs {
+    /// Scenario seed: `--seed <u64>`, 7 when absent.
+    pub seed: u64,
+    /// `--smoke`: the reduced run CI uses.
+    pub smoke: bool,
+}
+
+/// Parses an `exp_*` command line (without the program name). `--seed`
+/// is accepted only when `takes_seed` is set; any other argument, and a
+/// `--seed` without a `u64` value, is an error, so a typo never
+/// silently runs the default seed.
+pub fn parse_exp_args(
+    args: impl IntoIterator<Item = String>,
+    takes_seed: bool,
+) -> Result<ExpArgs, String> {
+    let mut parsed = ExpArgs {
+        seed: 7,
+        smoke: false,
+    };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--seed" if takes_seed => {
+                let value = args.next().ok_or("--seed expects a value")?;
+                parsed.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed expects a u64, got `{value}`"))?;
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// [`parse_exp_args`] over the process arguments; prints the error and
+/// the usage line and exits with code 2 on a bad command line.
+pub fn exp_args(takes_seed: bool) -> ExpArgs {
+    parse_exp_args(std::env::args().skip(1), takes_seed).unwrap_or_else(|e| {
+        let usage = if takes_seed {
+            "[--seed <u64>] [--smoke]"
+        } else {
+            "[--smoke]"
+        };
+        eprintln!("{e}\nusage: {usage}");
+        std::process::exit(2)
+    })
 }
 
 /// Number of repetitions for randomized strategies (paper: 10).
@@ -260,20 +312,47 @@ pub fn mapped_sources(query: &Query, mapping: &[OperatorId]) -> Vec<OperatorId> 
         .collect()
 }
 
-/// Constant schedules for a merged multi-tenant query at a total rate.
-pub fn merged_schedules(
-    merged: &Query,
-    total_rate: f64,
-) -> HashMap<OperatorId, capsys_model::RateSchedule> {
-    merged.schedules(total_rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use capsys_model::WorkerSpec;
     use capsys_queries::{merge_queries, q1_sliding, q3_inf};
     use capsys_util::rng::SeedableRng;
+
+    fn parse(args: &[&str], takes_seed: bool) -> Result<ExpArgs, String> {
+        parse_exp_args(args.iter().map(|a| a.to_string()), takes_seed)
+    }
+
+    #[test]
+    fn exp_args_accept_seed_and_smoke() {
+        let ok = |seed, smoke| Ok(ExpArgs { seed, smoke });
+        assert_eq!(parse(&["--seed", "11", "--smoke"], true), ok(11, true));
+        assert_eq!(parse(&[], true), ok(7, false));
+        assert_eq!(parse(&["--smoke"], false), ok(7, true));
+    }
+
+    #[test]
+    fn exp_args_reject_a_non_numeric_seed() {
+        let err = parse(&["--seed", "abc"], true).unwrap_err();
+        assert!(err.contains("abc"), "{err}");
+        assert!(parse(&["--seed", "-1"], true).is_err());
+    }
+
+    #[test]
+    fn exp_args_reject_a_missing_seed_value() {
+        assert!(parse(&["--smoke", "--seed"], true).is_err());
+    }
+
+    #[test]
+    fn exp_args_reject_unknown_flags() {
+        assert!(parse(&["--quick"], true).is_err());
+        assert!(parse(&["--smoke", "extra"], false).is_err());
+    }
+
+    #[test]
+    fn exp_args_reject_a_seed_where_none_is_used() {
+        assert!(parse(&["--seed", "11"], false).is_err());
+    }
 
     #[test]
     fn box_stats_basic() {

@@ -6,8 +6,6 @@
 //! ⑤⑥ the plan is deployed. This module glues those stages together
 //! against the simulator.
 
-use std::collections::HashMap;
-
 use capsys_core::{AutoTuneReport, SearchConfig};
 use capsys_ds2::{Ds2Config, Ds2Controller};
 use capsys_model::{Cluster, LoadModel, LogicalGraph, PhysicalGraph, Placement, ResourceProfile};
@@ -164,14 +162,6 @@ pub fn true_rate_from_profile(profile: &ResourceProfile) -> f64 {
     } else {
         f64::INFINITY
     }
-}
-
-/// Convenience: per-source constant-rate schedules for a deployment.
-pub fn deployment_schedules(
-    query: &Query,
-    target_rate: f64,
-) -> HashMap<capsys_model::OperatorId, capsys_model::RateSchedule> {
-    query.schedules(target_rate)
 }
 
 #[cfg(test)]

@@ -9,9 +9,6 @@
 //! * [`closed_loop`] — the runtime loop for variable workloads (§6.4):
 //!   DS2 re-evaluates every policy interval and reconfigurations re-run
 //!   the placement strategy;
-//! * [`online`] — online profiling (the §5.1 future-work extension):
-//!   effective unit costs tracked from runtime metrics, with drift
-//!   detection to trigger re-planning;
 //! * [`recovery`] — self-healing under injected faults: heartbeat-based
 //!   failure detection, backoff re-placement on the surviving workers,
 //!   and a graceful-degradation ladder (CAPS → relaxed CAPS →
@@ -29,6 +26,7 @@
 //!   reconfiguration) and restored hysteretically once the load fits.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod arbiter;
 pub mod closed_loop;
 pub mod controller;
@@ -36,7 +34,6 @@ pub mod fleet;
 pub mod guard;
 pub mod journal;
 pub mod lease;
-pub mod online;
 pub mod profiler;
 pub mod recovery;
 pub mod shed;
@@ -54,7 +51,6 @@ pub use controller::{CapsysConfig, CapsysController, Deployment};
 pub use guard::{BaselineMode, GuardConfig, PlanSnapshot, RollbackEvent, SafetyGovernor};
 pub use journal::{DecisionJournal, DecisionRecord, ParsedJournal, RedeployReason};
 pub use shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
-pub use online::{OnlineProfiler, OnlineProfilerConfig};
 pub use profiler::{profile_query, ProfileReport, ProfilerConfig};
 pub use recovery::{
     place_with_ladder, place_with_movemin, round_robin_free, Detection, DetectorConfig,

@@ -42,26 +42,24 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 pub mod autotune;
 pub mod cost;
 pub mod error;
 pub mod mcts;
+#[allow(unsafe_code)]
 mod memo;
 pub mod movemin;
-pub mod parallel;
+mod parallel;
 pub mod pareto;
-pub mod partitioned;
 pub mod search;
-pub mod strategy;
+mod strategy;
 
 pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
 pub use cost::{CostModel, CostVector, Dimension, LoadBounds, Thresholds};
 pub use error::CapsError;
-pub use mcts::{MctsConfig, MctsReport, MctsStrategy};
+pub use mcts::{MctsConfig, MctsReport};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
 pub use pareto::pareto_front;
-pub use partitioned::PartitionedOutcome;
 pub use search::{AnytimePoint, CapsSearch, RunStats, ScoredPlan, SearchConfig, SearchOutcome};
-pub use strategy::{
-    BackendResult, ParallelDfs, SearchBackend, SearchStrategy, SequentialDfs, StrategyContext,
-};
+pub use strategy::SearchBackend;

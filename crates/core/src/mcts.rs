@@ -51,7 +51,7 @@ use capsys_util::rng::{Rng, SeedableRng, SmallRng};
 
 use crate::error::CapsError;
 use crate::search::{cmp_scored, AnytimePoint, RunStats, ScoredPlan};
-use crate::strategy::{BackendResult, SearchStrategy, StrategyContext};
+use crate::strategy::{BackendResult, StrategyContext};
 
 /// Default playout cap when neither a node nor a time budget is set.
 const DEFAULT_ITERATIONS: usize = 4096;
@@ -165,13 +165,13 @@ struct Node {
 }
 
 /// The seeded Monte Carlo Tree Search backend.
-pub struct MctsStrategy {
+pub(crate) struct MctsStrategy {
     config: MctsConfig,
 }
 
 impl MctsStrategy {
     /// A strategy running with the given MCTS configuration.
-    pub fn new(config: MctsConfig) -> Self {
+    pub(crate) fn new(config: MctsConfig) -> Self {
         MctsStrategy { config }
     }
 }
@@ -444,7 +444,7 @@ impl Run<'_> {
         }
         self.plans_found += 1;
         let scored = ScoredPlan { plan, cost };
-        let max_plans = self.ctx.config().max_plans;
+        let max_plans = self.ctx.config.max_plans;
         if self.found.len() < max_plans {
             self.found_keys.insert(key);
             self.found.push(scored);
@@ -467,14 +467,11 @@ impl Run<'_> {
     }
 }
 
-impl SearchStrategy for MctsStrategy {
-    fn name(&self) -> &'static str {
-        "mcts"
-    }
-
-    fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
+impl MctsStrategy {
+    /// Searches the prepared problem instance.
+    pub(crate) fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
         self.config.validate()?;
-        let enumerator = ctx.enumerator();
+        let enumerator = ctx.enumerator;
         let order = enumerator.order();
         let layers = order.len();
         let workers = enumerator.free_slots().len();
@@ -482,12 +479,12 @@ impl SearchStrategy for MctsStrategy {
             .iter()
             .map(|op| enumerator.parallelism().get(op.0).copied().unwrap_or(0))
             .collect();
-        let physical = ctx.physical();
-        let model = ctx.model();
-        let bound = ctx.bound();
+        let physical = ctx.physical;
+        let model = ctx.model;
+        let bound = ctx.bound;
         let n_ops = physical.num_operators();
 
-        let unbudgeted = ctx.config().node_budget.is_none() && ctx.config().time_budget.is_none();
+        let unbudgeted = ctx.config.node_budget.is_none() && ctx.config.time_budget.is_none();
         let max_iterations = self.config.iterations.unwrap_or(if unbudgeted {
             DEFAULT_ITERATIONS
         } else {
@@ -503,8 +500,8 @@ impl SearchStrategy for MctsStrategy {
             stats: Vec::new(),
             transpositions: HashMap::new(),
             node_units: 0,
-            node_budget: ctx.config().node_budget.unwrap_or(usize::MAX),
-            deadline: ctx.deadline(),
+            node_budget: ctx.config.node_budget.unwrap_or(usize::MAX),
+            deadline: ctx.deadline,
             stopped: false,
             found: Vec::new(),
             found_keys: std::collections::HashSet::new(),
@@ -678,7 +675,7 @@ impl SearchStrategy for MctsStrategy {
 
             if feasible {
                 run.record(plan, cost);
-                if ctx.config().first_feasible {
+                if ctx.config.first_feasible {
                     break;
                 }
             }

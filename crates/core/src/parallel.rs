@@ -34,9 +34,7 @@
 //! * a stop flag (first-feasible and abort propagation);
 //! * a deadline flag raised by one watchdog thread, so workers never
 //!   call `Instant::now` on the hot path;
-//! * when [`SearchConfig::incumbent_prune`] is set, the best-so-far
-//!   `max_component` cost in an atomic cell, letting every thread prune
-//!   against the global incumbent rather than only its local one.
+//! * the dead-state memo table, when the search uses one.
 //!
 //! In a decision search (`SearchConfig::thresholds` is `None`) each
 //! thread also bounds its walk by the worst plan of its own full local
@@ -48,17 +46,16 @@
 //! joined cleanly, and the run returns [`CapsError::SearchPanicked`]
 //! instead of poisoning the whole process.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use capsys_model::{PhysicalGraph, PlanEnumerator};
+use capsys_model::PlanEnumerator;
 use capsys_util::deque::{Steal, Stealer, Worker};
 use capsys_util::fixed::Fixed64;
 
-use crate::cost::CostModel;
 use crate::error::CapsError;
-use crate::memo::MemoSetup;
-use crate::search::{cmp_scored, CapsVisitor, OpTopology, RunStats, ScoredPlan, SearchConfig};
+use crate::search::{cmp_scored, CapsVisitor, RunStats, ScoredPlan, SearchConfig};
+use crate::strategy::StrategyContext;
 
 /// Maximum prefix depth for adaptive re-splitting. Deeper splits would
 /// pay more prefix-replay overhead than the parallelism they buy.
@@ -92,8 +89,6 @@ struct Shared {
     stop: AtomicBool,
     /// Raised by the watchdog thread when the deadline passes.
     deadline_hit: AtomicBool,
-    /// Best `max_component` cost so far, as f64 bits (incumbent pruning).
-    incumbent: AtomicU64,
     /// Workers still running; the watchdog exits when this hits zero.
     active: AtomicUsize,
 }
@@ -102,18 +97,20 @@ struct Shared {
 /// per-thread plan caches. Also returns the per-dimension minimum of
 /// the threads' `unchanged_up_to` limits, which describes the whole walk
 /// when it finished.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel(
-    physical: &PhysicalGraph,
-    model: &CostModel,
-    topo: &OpTopology,
-    enumerator: &PlanEnumerator,
-    bound: [Fixed64; 3],
-    memo: Option<&MemoSetup>,
-    config: &SearchConfig,
-    deadline: Option<Instant>,
-    start: Instant,
+    ctx: &StrategyContext<'_>,
 ) -> Result<(Vec<ScoredPlan>, RunStats, [Fixed64; 3]), CapsError> {
+    let StrategyContext {
+        physical,
+        model,
+        topo,
+        enumerator,
+        bound,
+        memo,
+        config,
+        deadline,
+        start,
+    } = *ctx;
     let threads = config.threads;
     let split_cap = MAX_SPLIT_DEPTH.min(enumerator.order().len());
 
@@ -136,7 +133,6 @@ pub(crate) fn run_parallel(
         starving: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         deadline_hit: AtomicBool::new(false),
-        incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
         active: AtomicUsize::new(threads),
     };
     for (i, u) in units.into_iter().enumerate() {
@@ -164,9 +160,6 @@ pub(crate) fn run_parallel(
                     );
                     if deadline.is_some() {
                         visitor.set_deadline_flag(&shared.deadline_hit);
-                    }
-                    if config.incumbent_prune {
-                        visitor.set_incumbent(&shared.incumbent);
                     }
                     if let Some(setup) = memo {
                         // The table is shared: one thread proving a state
@@ -370,8 +363,8 @@ mod tests {
     use crate::cost::{CostVector, Thresholds};
     use crate::search::CapsSearch;
     use capsys_model::{
-        Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind, Placement,
-        ResourceProfile, WorkerSpec,
+        Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind,
+        PhysicalGraph, Placement, ResourceProfile, WorkerSpec,
     };
     use std::collections::HashMap;
 
@@ -480,42 +473,6 @@ mod tests {
             assert!((exact.cpu - s.cost.cpu).abs() < 1e-9);
             assert!((exact.io - s.cost.io).abs() < 1e-9);
             assert!((exact.net - s.cost.net).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn parallel_incumbent_prune_finds_the_best_plan() {
-        let (g, p, c, lm) = fixture();
-        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let full = search
-            .run(&crate::search::SearchConfig {
-                max_plans: usize::MAX / 2,
-                ..crate::search::SearchConfig::exhaustive()
-            })
-            .unwrap();
-        let best_cost = full
-            .feasible
-            .iter()
-            .map(|s| s.cost.max_component())
-            .fold(f64::INFINITY, f64::min);
-        for threads in [1, 4] {
-            let pruned = search
-                .run(
-                    &crate::search::SearchConfig {
-                        threads,
-                        max_plans: usize::MAX / 2,
-                        ..crate::search::SearchConfig::exhaustive()
-                    }
-                    .incumbent_pruned(),
-                )
-                .unwrap();
-            assert!(!pruned.feasible.is_empty());
-            // Every surviving plan ties the optimum.
-            for s in &pruned.feasible {
-                assert!((s.cost.max_component() - best_cost).abs() < 1e-9);
-            }
-            // And the incumbent bound only ever removed nodes.
-            assert!(pruned.stats.nodes <= full.stats.nodes);
         }
     }
 

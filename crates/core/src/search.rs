@@ -32,9 +32,7 @@ use crate::error::CapsError;
 use crate::mcts::MctsReport;
 use crate::memo::{fnv1a64, MemoSetup, MemoTable};
 use crate::pareto::pareto_front;
-use crate::strategy::{
-    BackendResult, ParallelDfs, SearchBackend, SearchStrategy, SequentialDfs, StrategyContext,
-};
+use crate::strategy::{BackendResult, SearchBackend, StrategyContext};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
 /// operator-reordering heuristic (reporting-side arithmetic only; the
@@ -82,16 +80,6 @@ pub struct SearchConfig {
     pub free_slots: Option<Vec<usize>>,
     /// Auto-tuner settings used when `thresholds` is `None`.
     pub auto_tune: AutoTuneConfig,
-    /// Prune against the best `max_component` cost found so far (shared
-    /// across all threads in the parallel search §5.1). Branches whose
-    /// partial cost already exceeds the incumbent cannot contain a new
-    /// best plan, so cutting them is sound for *optimization* — but it
-    /// changes what "feasible" means for the stored set and the
-    /// `plans_found` statistic, so it is opt-in. When enabled, `feasible`
-    /// is filtered to the minimum-cost plans (every tie is kept, up to
-    /// `max_plans`) and `plans_found`/`nodes`/`pruned` become
-    /// schedule-dependent.
-    pub incumbent_prune: bool,
     /// Memoize dead search states across layers (transposition pruning).
     ///
     /// The DFS records every fully explored outer-layer state that held
@@ -100,13 +88,12 @@ pub struct SearchConfig {
     /// other prefixes. Only *dead* subtrees are skipped, so the feasible
     /// plan set, the stored plans, and `plans_found` are identical with
     /// the memo on or off; `nodes` shrinks. Automatically disabled for
-    /// first-feasible and incumbent-pruned searches, whose reachability
-    /// depends on more than the state.
+    /// first-feasible searches, whose reachability depends on more than
+    /// the state, and never consulted by the MCTS backend.
     pub memo: bool,
-    /// Which [`SearchStrategy`] backend explores the plan space. The
-    /// default DFS backend is exhaustive within its budget; the MCTS
-    /// backend is an anytime search for plan spaces too large to
-    /// exhaust.
+    /// Which backend explores the plan space. The default DFS backend is
+    /// exhaustive within its budget; the MCTS backend is an anytime
+    /// search for plan spaces too large to exhaust.
     pub backend: SearchBackend,
 }
 
@@ -131,7 +118,6 @@ impl SearchConfig {
             time_budget: None,
             free_slots: None,
             auto_tune: AutoTuneConfig::default(),
-            incumbent_prune: false,
             memo: true,
             backend: SearchBackend::Dfs,
         }
@@ -154,22 +140,9 @@ impl SearchConfig {
         self
     }
 
-    /// Enables incumbent-bound pruning (best-so-far `max_component`
-    /// shared across threads), returning the modified config.
-    pub fn incumbent_pruned(mut self) -> Self {
-        self.incumbent_prune = true;
-        self
-    }
-
     /// Disables dead-state memoization, returning the modified config.
     pub fn without_memo(mut self) -> Self {
         self.memo = false;
-        self
-    }
-
-    /// Selects a search backend, returning the modified config.
-    pub fn with_backend(mut self, backend: SearchBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -438,11 +411,6 @@ pub(crate) struct CapsVisitor<'a> {
     worst_idx: Option<usize>,
     max_plans: usize,
     first_feasible: bool,
-    /// When set, leaves are recorded as raw count matrices (partial
-    /// plans) instead of materialized placements; used by the
-    /// partitioned search, whose leaves cover only one operator chunk.
-    capture_raw: bool,
-    best_raw: Option<(Vec<Vec<usize>>, CostVector)>,
     // Budgets / cooperative stop.
     nodes: usize,
     node_budget: usize,
@@ -452,16 +420,12 @@ pub(crate) struct CapsVisitor<'a> {
     /// `Instant::now` themselves.
     deadline_flag: Option<&'a std::sync::atomic::AtomicBool>,
     stop_flag: Option<&'a std::sync::atomic::AtomicBool>,
-    /// Shared best-so-far `max_component` cost (f64 bits), for
-    /// incumbent-bound pruning across threads.
-    incumbent: Option<&'a std::sync::atomic::AtomicU64>,
-    /// The cost `incumbent_limit` was last derived from, so limits are
-    /// re-derived only when the incumbent or the worst stored cost falls.
+    /// The cost `store_limit` was last derived from, so limits are
+    /// re-derived only when the worst stored cost falls.
     limit_cost: f64,
-    /// Per-dimension exact load limits implied by the incumbent cost
-    /// and, in a decision search, by the worst plan of a full store —
-    /// the smaller of the two. Both only ever tighten.
-    incumbent_limit: [Fixed64; 3],
+    /// Per-dimension exact load limits implied, in a decision search, by
+    /// the worst plan of a full store. They only ever tighten.
+    store_limit: [Fixed64; 3],
     /// Whether a full store bounds the search (decision searches only).
     store_bound: bool,
     /// Per dimension, the largest load limit under which every limit
@@ -518,16 +482,13 @@ impl<'a> CapsVisitor<'a> {
             worst_idx: None,
             max_plans: config.max_plans,
             first_feasible: config.first_feasible,
-            capture_raw: false,
-            best_raw: None,
             nodes: 0,
             node_budget: config.node_budget.unwrap_or(usize::MAX),
             deadline,
             deadline_flag: None,
             stop_flag,
-            incumbent: None,
             limit_cost: f64::INFINITY,
-            incumbent_limit: [Fixed64::MAX; 3],
+            store_limit: [Fixed64::MAX; 3],
             store_bound: config.thresholds.is_none(),
             unchanged_up_to: [Fixed64::MAX; 3],
             aborted: false,
@@ -541,8 +502,8 @@ impl<'a> CapsVisitor<'a> {
 
     /// Installs a dead-state memo (shared across threads in the parallel
     /// search). Only sound for searches whose subtree reachability is a
-    /// pure function of the layer state — the caller guarantees neither
-    /// first-feasible stop nor incumbent pruning is active.
+    /// pure function of the layer state — the caller guarantees no
+    /// first-feasible stop is active.
     pub(crate) fn set_memo(&mut self, setup: &'a MemoSetup) {
         self.memo = Some(setup);
     }
@@ -614,23 +575,6 @@ impl<'a> CapsVisitor<'a> {
         self.deadline = None;
     }
 
-    /// Installs a shared incumbent cell (best `max_component` cost so
-    /// far, stored as f64 bits) and enables pruning against it.
-    pub(crate) fn set_incumbent(&mut self, cell: &'a std::sync::atomic::AtomicU64) {
-        self.incumbent = Some(cell);
-        self.refresh_incumbent();
-    }
-
-    /// Re-derives the per-dimension load limits from the shared incumbent
-    /// if it has improved since the last look.
-    fn refresh_incumbent(&mut self) {
-        if let Some(cell) = self.incumbent {
-            self.tighten_limit(f64::from_bits(
-                cell.load(std::sync::atomic::Ordering::Relaxed),
-            ));
-        }
-    }
-
     /// Lowers the per-dimension load limits to those of `cost`, if that
     /// is below the cost they were last derived from: a branch whose
     /// partial load already costs more than `cost` holds only leaves
@@ -641,7 +585,7 @@ impl<'a> CapsVisitor<'a> {
         }
         self.limit_cost = cost;
         for dim in 0..3 {
-            self.incumbent_limit[dim] = self.model.cost_to_load(dim, cost);
+            self.store_limit[dim] = self.model.cost_to_load(dim, cost);
         }
     }
 
@@ -668,47 +612,6 @@ impl<'a> CapsVisitor<'a> {
     /// See the `unchanged_up_to` field.
     pub(crate) fn unchanged_up_to(&self) -> [Fixed64; 3] {
         self.unchanged_up_to
-    }
-
-    /// Switches the visitor to raw (partial-plan) capture.
-    pub(crate) fn set_capture_raw(&mut self) {
-        self.capture_raw = true;
-    }
-
-    /// The best partial plan captured in raw mode, if any.
-    pub(crate) fn take_best_raw(&mut self) -> Option<(Vec<Vec<usize>>, CostVector)> {
-        self.best_raw.take()
-    }
-
-    /// Pre-places `row[w]` tasks of `op` on each worker `w`, bypassing
-    /// the pruning bound: earlier partitions are fixed decisions.
-    ///
-    /// Tasks are seeded in ascending worker order, matching the
-    /// materialization of [`Placement::from_op_counts`], so the network
-    /// accounting stays exact.
-    pub(crate) fn seed_counts(&mut self, op: OperatorId, row: &[usize]) {
-        for (w, &c) in row.iter().enumerate() {
-            let start = self.append_deltas(w, op.0, c);
-            for i in start..self.delta_arena.len() {
-                let (dw, d) = self.delta_arena[i];
-                for (load, add) in self.load[dw].iter_mut().zip(&d) {
-                    *load += *add;
-                }
-            }
-            self.cnt[op.0][w] += c;
-            self.subtask_worker[op.0].extend(std::iter::repeat_n(w, c));
-            self.undo_marks.push(start);
-        }
-    }
-
-    /// Pressure-weighted selection key (same rule as
-    /// [`SearchOutcome::best_scored`]).
-    fn weighted_key(&self, cost: &CostVector) -> f64 {
-        let p = self.model.pressure();
-        let max_p = p.iter().cloned().fold(0.0f64, f64::max).max(1e-9);
-        (cost.cpu * p[0] / max_p)
-            .max(cost.io * p[1] / max_p)
-            .max(cost.net * p[2] / max_p)
     }
 
     /// The exact bottleneck loads of the current (complete) assignment.
@@ -855,34 +758,6 @@ impl<'a> CapsVisitor<'a> {
     /// Records a feasible plan, respecting the storage cap.
     fn record(&mut self, counts: &[Vec<usize>]) {
         let cost = self.current_cost();
-        if let Some(cell) = self.incumbent {
-            // CAS-min on the shared incumbent. Bit patterns of
-            // non-negative f64s order like the floats themselves, so a
-            // min on bits is a min on costs.
-            let bits = cost.max_component().max(0.0).to_bits();
-            let mut cur = cell.load(std::sync::atomic::Ordering::Relaxed);
-            while bits < cur {
-                match cell.compare_exchange_weak(
-                    cur,
-                    bits,
-                    std::sync::atomic::Ordering::Relaxed,
-                    std::sync::atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-        if self.capture_raw {
-            let better = match &self.best_raw {
-                Some((_, best)) => self.weighted_key(&cost) < self.weighted_key(best),
-                None => true,
-            };
-            if better {
-                self.best_raw = Some((counts.to_vec(), cost));
-            }
-            return;
-        }
         if self.max_plans == 0 {
             return;
         }
@@ -969,21 +844,18 @@ impl PlanVisitor for CapsVisitor<'_> {
         if self.should_stop() {
             return false;
         }
-        if self.incumbent.is_some() {
-            self.refresh_incumbent();
-        }
         let start = self.append_deltas(worker, op.0, count);
-        // Check Eq. 10 — and, when enabled, the incumbent or store
-        // bound — on every worker the deltas touch. Bounds are exact
+        // Check Eq. 10 — and, in a decision search with a full store, the
+        // store bound — on every worker the deltas touch. Bounds are exact
         // inversions of the cost predicate, so no epsilon is needed; the
-        // incumbent limit admits equality, so plans tying the best (or
-        // the worst stored) cost survive.
+        // store limit admits equality, so plans tying the worst stored
+        // cost survive.
         for &(w, d) in &self.delta_arena[start..] {
             for dim in 0..3 {
                 let add = d[dim];
                 if add > Fixed64::ZERO {
                     let next = self.load[w][dim] + add;
-                    if next > self.bound[dim] || next > self.incumbent_limit[dim] {
+                    if next > self.bound[dim] || next > self.store_limit[dim] {
                         // The enumerator now skips every larger count of
                         // this operator on this worker; those would load
                         // the same worker and dimension at least as much,
@@ -1236,14 +1108,11 @@ impl<'a> CapsSearch<'a> {
         }
 
         // Dead-state memoization is sound only when subtree reachability
-        // is a pure function of the layer state: a first-feasible stop or
-        // a moving incumbent bound makes "dead" time-dependent. The MCTS
-        // backend samples rather than exhausts, so it never consults the
-        // memo and the table is not built for it.
-        let memo = (config.memo
-            && !config.first_feasible
-            && !config.incumbent_prune
-            && config.backend == SearchBackend::Dfs)
+        // is a pure function of the layer state: a first-feasible stop
+        // makes "dead" time-dependent. The MCTS backend samples rather
+        // than exhausts, so it never consults the memo and the table is
+        // not built for it.
+        let memo = (config.memo && !config.first_feasible && config.backend == SearchBackend::Dfs)
             .then(|| {
                 let (layer_ok, open_ops) = self.topo.memo_layout(&order);
                 MemoSetup {
@@ -1266,34 +1135,13 @@ impl<'a> CapsSearch<'a> {
         };
         let (
             BackendResult {
-                plans: mut found,
+                plans: found,
                 stats,
                 anytime,
                 mcts,
             },
             unchanged_up_to,
-        ) = match &config.backend {
-            SearchBackend::Dfs if config.threads <= 1 => SequentialDfs::run(&ctx)?,
-            SearchBackend::Dfs => ParallelDfs::run(&ctx)?,
-            // A sampled walk proves nothing about other bounds' trees.
-            SearchBackend::Mcts(mcfg) => (
-                crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
-                None,
-            ),
-        };
-
-        if config.incumbent_prune {
-            // Under incumbent pruning only the minimum-cost plans are
-            // guaranteed to survive every schedule; filter the store down
-            // to exactly that set so the outcome is deterministic. Costs
-            // are exact, so tying plans compare bit-equal.
-            let min = found
-                .iter()
-                .map(|s| s.cost.max_component())
-                .fold(f64::INFINITY, f64::min);
-            found.retain(|s| s.cost.max_component() <= min);
-            found.sort_by(cmp_scored);
-        }
+        ) = crate::strategy::search(&ctx)?;
 
         let pareto = pareto_front(&found);
         let outcome = SearchOutcome {
@@ -1337,7 +1185,6 @@ impl<'a> CapsSearch<'a> {
             thresholds: Some(*thresholds),
             first_feasible: true,
             max_plans: 1,
-            incumbent_prune: false,
             ..config.clone()
         };
         if let Some(d) = deadline {
@@ -1378,10 +1225,6 @@ impl<'a> CapsSearch<'a> {
     /// The worker cluster this search places onto.
     pub fn cluster(&self) -> &Cluster {
         self.cluster
-    }
-
-    pub(crate) fn topology(&self) -> &OpTopology {
-        &self.topo
     }
 }
 

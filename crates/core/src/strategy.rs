@@ -1,22 +1,20 @@
-//! Pluggable search backends over the CAPS plan space.
+//! Backend dispatch over the CAPS plan space.
 //!
 //! [`CapsSearch::run_with_thresholds`](crate::CapsSearch::run_with_thresholds)
 //! prepares one problem instance — the exploration order, the exact
 //! per-dimension load bound, the symmetry-deduplicated
-//! [`PlanEnumerator`], and (for the DFS backends) the dead-state memo —
-//! and then hands it to a [`SearchStrategy`]. Three backends implement
-//! the trait:
+//! [`PlanEnumerator`], and (for the DFS backend) the dead-state memo —
+//! and [`search`] hands it to the backend [`SearchConfig::backend`]
+//! selects:
 //!
-//! * [`SequentialDfs`] — the threshold-pruned exhaustive DFS of §4.3-4.4,
-//!   single-threaded;
-//! * [`ParallelDfs`] — the same search under the work-stealing thread
-//!   pool of §5.1 (`crate::parallel`);
+//! * the threshold-pruned exhaustive DFS of §4.3-4.4, single-threaded
+//!   for `threads == 1` and under the work-stealing thread pool of §5.1
+//!   (`crate::parallel`) otherwise;
 //! * [`MctsStrategy`](crate::mcts::MctsStrategy) — a seeded,
 //!   deterministic Monte Carlo Tree Search for plan spaces too large to
 //!   exhaust.
 //!
-//! Callers select a backend through [`SearchConfig::backend`]; the
-//! auto-tuner, the minimum-movement screen, and the controller's
+//! The auto-tuner, the minimum-movement screen, and the controller's
 //! placement paths all go through `run`/`run_with_thresholds`, so a
 //! backend choice propagates to every search the system performs.
 
@@ -27,7 +25,7 @@ use capsys_util::fixed::Fixed64;
 
 use crate::cost::CostModel;
 use crate::error::CapsError;
-use crate::mcts::{MctsConfig, MctsReport};
+use crate::mcts::{MctsConfig, MctsReport, MctsStrategy};
 use crate::memo::MemoSetup;
 use crate::search::{AnytimePoint, CapsVisitor, OpTopology, RunStats, ScoredPlan, SearchConfig};
 
@@ -63,12 +61,12 @@ impl SearchBackend {
     }
 }
 
-/// One fully prepared search problem, handed to a [`SearchStrategy`].
+/// One fully prepared search problem, handed to a backend.
 ///
 /// Built by `CapsSearch::run_with_thresholds`; bundles everything a
 /// backend needs so all backends search the identical problem: same
 /// operator order, same exact bound, same symmetry groups.
-pub struct StrategyContext<'a> {
+pub(crate) struct StrategyContext<'a> {
     pub(crate) physical: &'a PhysicalGraph,
     pub(crate) model: &'a CostModel,
     pub(crate) topo: &'a OpTopology,
@@ -80,166 +78,88 @@ pub struct StrategyContext<'a> {
     pub(crate) start: Instant,
 }
 
-impl<'a> StrategyContext<'a> {
-    /// The physical graph being placed.
-    pub fn physical(&self) -> &'a PhysicalGraph {
-        self.physical
-    }
-
-    /// The exact cost model of the problem instance.
-    pub fn model(&self) -> &'a CostModel {
-        self.model
-    }
-
-    /// The symmetry-aware plan enumerator (order and free slots applied).
-    pub fn enumerator(&self) -> &'a PlanEnumerator {
-        self.enumerator
-    }
-
-    /// The exact per-dimension load bound (Eq. 10 inverted).
-    pub fn bound(&self) -> [Fixed64; 3] {
-        self.bound
-    }
-
-    /// The search configuration in force.
-    pub fn config(&self) -> &'a SearchConfig {
-        self.config
-    }
-
-    /// The wall-clock deadline, if a time budget was configured.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
 /// What a backend hands back to `run_with_thresholds`.
-pub struct BackendResult {
-    /// Stored feasible plans (up to `max_plans`, [`cmp_scored`] order
-    /// guarantees as documented per backend).
-    ///
-    /// [`cmp_scored`]: crate::search::SearchOutcome
-    pub plans: Vec<ScoredPlan>,
+pub(crate) struct BackendResult {
+    /// Stored feasible plans (up to `max_plans`), in `cmp_scored` order.
+    pub(crate) plans: Vec<ScoredPlan>,
     /// Run statistics in DFS-comparable units.
-    pub stats: RunStats,
+    pub(crate) stats: RunStats,
     /// Best-cost improvement points (empty when schedule-dependent).
-    pub anytime: Vec<AnytimePoint>,
-    /// MCTS diagnostics, `None` for the DFS backends.
-    pub mcts: Option<MctsReport>,
+    pub(crate) anytime: Vec<AnytimePoint>,
+    /// MCTS diagnostics, `None` for the DFS backend.
+    pub(crate) mcts: Option<MctsReport>,
 }
 
-/// A DFS backend's result, plus — when its walk is a pure function of
-/// its limit checks — the per-dimension load bound up to which that
-/// walk is provably unchanged (`CapsVisitor::unchanged_up_to`). The
-/// walk qualifies when it finished, or when a sequential DFS stopped on
-/// its node budget; schedule- and clock-dependent aborts give `None`.
+/// A backend's result, plus — when its walk is a pure function of its
+/// limit checks — the per-dimension load bound up to which that walk is
+/// provably unchanged (`CapsVisitor::unchanged_up_to`). The walk
+/// qualifies when a DFS finished, or when a sequential DFS stopped on
+/// its node budget; schedule- and clock-dependent aborts and sampled
+/// (MCTS) walks give `None`.
 pub(crate) type DfsResult = (BackendResult, Option<[Fixed64; 3]>);
 
-/// A search algorithm over the CAPS plan space.
-///
-/// Implementations must be deterministic: the same context (and, for
-/// seeded backends, the same seed) must produce the same `BackendResult`
-/// modulo wall-clock fields, independent of thread schedule.
-pub trait SearchStrategy {
-    /// Stable backend name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Searches the prepared problem instance.
-    fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>;
+/// Runs the backend `ctx.config.backend` selects. Every backend is
+/// deterministic: the same context (and, for MCTS, the same seed)
+/// produces the same result modulo wall-clock fields, independent of
+/// thread schedule.
+pub(crate) fn search(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
+    match &ctx.config.backend {
+        SearchBackend::Dfs if ctx.config.threads <= 1 => sequential_dfs(ctx),
+        SearchBackend::Dfs => parallel_dfs(ctx),
+        SearchBackend::Mcts(mcfg) => Ok((MctsStrategy::new(mcfg.clone()).search(ctx)?, None)),
+    }
 }
 
 /// The single-threaded threshold-pruned DFS (§4.3-4.4).
-pub struct SequentialDfs;
-
-impl SearchStrategy for SequentialDfs {
-    fn name(&self) -> &'static str {
-        "dfs"
+fn sequential_dfs(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut visitor = CapsVisitor::new(
+        ctx.physical,
+        ctx.model,
+        ctx.topo,
+        ctx.bound,
+        ctx.config,
+        ctx.deadline,
+        Some(&stop),
+    );
+    if let Some(setup) = ctx.memo {
+        visitor.set_memo(setup);
     }
-
-    fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
-        Ok(Self::run(ctx)?.0)
-    }
-}
-
-impl SequentialDfs {
-    pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let incumbent = std::sync::atomic::AtomicU64::new(f64::INFINITY.to_bits());
-        let mut visitor = CapsVisitor::new(
-            ctx.physical,
-            ctx.model,
-            ctx.topo,
-            ctx.bound,
-            ctx.config,
-            ctx.deadline,
-            Some(&stop),
-        );
-        if ctx.config.incumbent_prune {
-            visitor.set_incumbent(&incumbent);
-        }
-        if let Some(setup) = ctx.memo {
-            visitor.set_memo(setup);
-        }
-        let s = ctx.enumerator.explore(&mut visitor);
-        let aborted = visitor.was_aborted();
-        let memo_hits = visitor.memo_hits();
-        let anytime = visitor.take_anytime();
-        let unchanged_up_to =
-            (!aborted || visitor.budget_spent()).then(|| visitor.unchanged_up_to());
-        let result = BackendResult {
-            plans: visitor.into_found(),
-            stats: RunStats {
-                nodes: s.nodes,
-                pruned: s.pruned,
-                plans_found: s.plans,
-                memo_hits,
-                elapsed: ctx.start.elapsed(),
-                threads: 1,
-                aborted,
-            },
-            anytime,
-            mcts: None,
-        };
-        Ok((result, unchanged_up_to))
-    }
+    let s = ctx.enumerator.explore(&mut visitor);
+    let aborted = visitor.was_aborted();
+    let memo_hits = visitor.memo_hits();
+    let anytime = visitor.take_anytime();
+    let unchanged_up_to = (!aborted || visitor.budget_spent()).then(|| visitor.unchanged_up_to());
+    let result = BackendResult {
+        plans: visitor.into_found(),
+        stats: RunStats {
+            nodes: s.nodes,
+            pruned: s.pruned,
+            plans_found: s.plans,
+            memo_hits,
+            elapsed: ctx.start.elapsed(),
+            threads: 1,
+            aborted,
+        },
+        anytime,
+        mcts: None,
+    };
+    Ok((result, unchanged_up_to))
 }
 
 /// The work-stealing parallel DFS (§5.1).
-pub struct ParallelDfs;
-
-impl SearchStrategy for ParallelDfs {
-    fn name(&self) -> &'static str {
-        "parallel-dfs"
-    }
-
-    fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
-        Ok(Self::run(ctx)?.0)
-    }
-}
-
-impl ParallelDfs {
-    pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
-        let (plans, stats, unchanged_up_to) = crate::parallel::run_parallel(
-            ctx.physical,
-            ctx.model,
-            ctx.topo,
-            ctx.enumerator,
-            ctx.bound,
-            ctx.memo,
-            ctx.config,
-            ctx.deadline,
-            ctx.start,
-        )?;
-        // Each thread spends its own node budget on a schedule-dependent
-        // share of the tree, so only a finished walk counts.
-        let unchanged_up_to = (!stats.aborted).then_some(unchanged_up_to);
-        let result = BackendResult {
-            plans,
-            stats,
-            // Improvement times depend on the steal schedule; reporting
-            // them would leak nondeterminism into the outcome.
-            anytime: Vec::new(),
-            mcts: None,
-        };
-        Ok((result, unchanged_up_to))
-    }
+fn parallel_dfs(ctx: &StrategyContext<'_>) -> Result<DfsResult, CapsError> {
+    let (plans, stats, unchanged_up_to) = crate::parallel::run_parallel(ctx)?;
+    // Each thread spends its own node budget on a schedule-dependent
+    // share of the tree, so only a finished walk counts.
+    let unchanged_up_to = (!stats.aborted).then_some(unchanged_up_to);
+    let result = BackendResult {
+        plans,
+        stats,
+        // Improvement times depend on the steal schedule; reporting
+        // them would leak nondeterminism into the outcome.
+        anytime: Vec::new(),
+        mcts: None,
+    };
+    Ok((result, unchanged_up_to))
 }

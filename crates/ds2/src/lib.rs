@@ -24,6 +24,7 @@
 //! makes DS2 overshoot (§6.4).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use std::collections::HashMap;
 
 use capsys_model::{LogicalGraph, ModelError, OperatorId, PhysicalGraph, TaskId};

@@ -19,6 +19,7 @@
 //!   for validating search completeness.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod cluster;
 pub mod enumerate;
 pub mod error;

@@ -17,6 +17,7 @@
 //! configurations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod config;
 pub mod objective;
 pub mod solver;

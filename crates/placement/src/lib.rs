@@ -17,6 +17,7 @@
 //! baselines' randomness seed-for-seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use capsys_core::{CapsError, CapsSearch, SearchConfig};
 use capsys_model::{
     Cluster, LoadModel, LogicalGraph, ModelError, PhysicalGraph, Placement, WorkerId,

@@ -24,6 +24,7 @@
 //! individual events.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use std::collections::HashMap;
 
 use capsys_model::{

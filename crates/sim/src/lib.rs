@@ -19,6 +19,7 @@
 //! argument (what the paper ran on vs. what this simulates).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod config;
 pub mod engine;
 pub mod epoch;

@@ -19,7 +19,7 @@
 //! A single positional CLI argument filters benchmarks by substring,
 //! like criterion: `cargo bench --bench caps_search -- alpha1`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use std::hint::black_box;
 
@@ -258,14 +258,6 @@ fn append_line(path: &str, line: &str) {
         }
         Err(e) => eprintln!("CAPSYS_BENCH_JSON: cannot open {path}: {e}"),
     }
-}
-
-/// Approximate total wall-clock budget sanity helper used by smoke
-/// tests: runs `f` once and returns the elapsed duration.
-pub fn time_once<O>(f: impl FnOnce() -> O) -> (O, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 /// Defines a bench group function from benchmark functions, mirroring

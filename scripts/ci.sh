@@ -9,7 +9,8 @@
 #   2. dependency guard — no non-capsys-* dependency may appear in any
 #      Cargo.toml (including dev-dependencies and benches);
 #   3. panic lint — no unwrap()/expect(/panic! in non-test code under
-#      crates/, outside the justified scripts/panic_allowlist.txt;
+#      crates/, outside the justified scripts/panic_allowlist.txt, and
+#      no allowlist entry that matches no tracked file;
 #   4. release build of every target;
 #   5. full test suite (debug), including the determinism golden test;
 #      then the capsys-util suite again in release with
@@ -137,6 +138,18 @@ step "3/15" "panic lint: no unwrap/expect/panic! in non-test code"
 # files in scripts/panic_allowlist.txt are exempt.
 allow_file="scripts/panic_allowlist.txt"
 violations=0
+# A stale entry would silently exempt whatever file later takes its path.
+while IFS= read -r prefix; do
+    case "$prefix" in '' | \#*) continue ;; esac
+    if [ -z "$(git ls-files -- "$prefix*")" ]; then
+        echo "STALE entry in $allow_file: \`$prefix\` matches no tracked file" >&2
+        violations=$((violations + 1))
+    fi
+done <"$allow_file"
+if [ "$violations" -ne 0 ]; then
+    echo "panic lint failed: $violations stale allowlist entries" >&2
+    exit 1
+fi
 for file in $(git ls-files | grep -E '^crates/[^/]+/src/.*\.rs$'); do
     skip=0
     while IFS= read -r prefix; do
@@ -194,7 +207,7 @@ step_done
 
 step "8/15" "chaos smoke (fault injection + recovery, seeds 7/11/23)"
 for seed in 7 11 23; do
-    cargo run --release -p capsys-bench --bin exp_chaos -- --seed "$seed" --quick
+    cargo run --release -p capsys-bench --bin exp_chaos -- --seed "$seed" --smoke
 done
 step_done
 
@@ -210,7 +223,7 @@ step "10/15" "guard smoke (safety governor vs model skew, seed 7)"
 # persists; with it, the regression is detected within one probation
 # window, rolled back to last-known-good, throughput recovers, churn
 # stays within the rollback cap, and same-seed runs replay identically.
-cargo run --release -p capsys-bench --bin exp_guard -- --seed 7 --quick
+cargo run --release -p capsys-bench --bin exp_guard -- --seed 7 --smoke
 step_done
 
 step "11/15" "recovery sweep (kill-at-every-decision crash recovery, seeds 7/11/23)"

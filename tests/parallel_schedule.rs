@@ -176,41 +176,6 @@ fn capped_store_identical_across_thread_counts() {
 }
 
 #[test]
-fn incumbent_prune_survivors_identical_across_thread_counts() {
-    forall!(cases(), (
-        ops in arb_ops(),
-        workers in ints(2usize..=4),
-        extra_slots in ints(2usize..=6),
-    ) => {
-        let (g, cluster) = build_problem(ops, *workers, *extra_slots);
-        let physical = PhysicalGraph::expand(&g);
-        let loads = loads_for(&g, &physical, 1000.0);
-        let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
-        let run = |threads: usize| {
-            search
-                .run(
-                    &SearchConfig {
-                        threads,
-                        max_plans: 1 << 20,
-                        ..SearchConfig::exhaustive()
-                    }
-                    .incumbent_pruned(),
-                )
-                .expect("search runs")
-        };
-        let base_set = plan_set(&run(1));
-        assert!(!base_set.is_empty(), "some plan always exists");
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                plan_set(&run(threads)),
-                base_set,
-                "incumbent-pruned survivors diverged at {threads} threads"
-            );
-        }
-    });
-}
-
-#[test]
 fn memo_on_and_off_agree_across_seeds_and_thread_counts() {
     // The dead-state memo may only skip subtrees that contain no
     // feasible leaf, so switching it off must change *nothing* about
