@@ -138,7 +138,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             time_budget: Some(Duration::ZERO),
             ..SearchConfig::auto_tuned()
         },
-        ..RecoveryConfig::default()
     };
     let rr = run_once(seed, duration, starved)?;
     report("ladder: round-robin only (zero search budget)", &rr, duration);

@@ -104,7 +104,6 @@ fn fast_recovery() -> RecoveryConfig {
             time_budget: Some(std::time::Duration::ZERO),
             ..SearchConfig::auto_tuned()
         },
-        ..RecoveryConfig::default()
     }
 }
 

@@ -18,6 +18,7 @@
 //! Usage: `exp_guard [--seed N] [--smoke]`
 
 use capsys_bench::{banner, fast_mode, fmt_rate};
+use capsys_controller::guard::{MAX_ROLLBACKS, PROBATION_WINDOWS};
 use capsys_controller::{ClosedLoop, ClosedLoopTrace, GuardConfig};
 use capsys_ds2::Ds2Config;
 use capsys_model::{Cluster, RateSchedule, WorkerSpec};
@@ -167,7 +168,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Governor on: detect, roll back, recover, stay stable. ---
-    let config = GuardConfig::default();
     let on_tail = tracking(&on, tail_from, duration);
     println!("--- governor on ---");
     for e in &on.events {
@@ -203,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the governor must detect the stale-model regression"
     );
     let first = &on.rollback_events[0];
-    let deadline = (config.probation_windows as f64 + 1.0) * POLICY_INTERVAL;
+    let deadline = (PROBATION_WINDOWS as f64 + 1.0) * POLICY_INTERVAL;
     assert!(
         first.degraded_for <= deadline + 1e-9,
         "regression must be detected within one probation window \
@@ -211,7 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         first.degraded_for
     );
     assert!(
-        on.oscillations() <= config.max_rollbacks,
+        on.oscillations() <= MAX_ROLLBACKS,
         "rollback churn must be bounded by the governor's cap"
     );
     // Rolling back cannot make the old plan track the stepped-up target,

@@ -67,7 +67,7 @@ fn symmetric_query() -> (LogicalGraph, HashMap<OperatorId, f64>) {
     let src = b.operator("src", OperatorKind::Source, 4, profile);
     let mut prev = src;
     for i in 1..=14 {
-        let op = b.operator(&format!("map{i}"), OperatorKind::Stateless, 4, profile);
+        let op = b.operator(format!("map{i}"), OperatorKind::Stateless, 4, profile);
         b.edge(prev, op, ConnectionPattern::Hash);
         prev = op;
     }

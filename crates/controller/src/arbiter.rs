@@ -371,9 +371,9 @@ impl Arbiter {
             )));
         }
         let mut revocations = Vec::new();
-        for w in 0..self.config.num_workers {
+        for (w, &u) in util.iter().enumerate() {
             let shared = self.tenancy[w] >= 2;
-            if shared && util[w] > self.config.overload_util {
+            if shared && u > self.config.overload_util {
                 self.overload_streak[w] += 1;
             } else {
                 self.overload_streak[w] = 0;

@@ -61,8 +61,8 @@ use crate::guard::{GuardConfig, PlanSnapshot, RollbackEvent, RollbackRequest, Sa
 use crate::journal::{DecisionJournal, DecisionRecord, RedeployReason};
 use crate::shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 use crate::recovery::{
-    descends, place_with_ladder, place_with_movemin, FailureDetector, LadderRung, RecoveryConfig,
-    RecoveryEvent,
+    backoff, descends, place_with_ladder, place_with_movemin, FailureDetector, LadderRung,
+    RecoveryConfig, RecoveryEvent, MAX_RETRIES,
 };
 use crate::ControllerError;
 
@@ -865,7 +865,7 @@ impl<'a> ClosedLoop<'a> {
     /// the governor through the same transitions the crashed run took.
     pub fn with_guard(mut self, config: GuardConfig) -> Result<Self, ControllerError> {
         let initial = self.snapshot();
-        self.guard = Some(SafetyGovernor::new(config, initial)?);
+        self.guard = Some(SafetyGovernor::new(config, initial));
         Ok(self)
     }
 
@@ -874,17 +874,18 @@ impl<'a> ClosedLoop<'a> {
     /// a bounded fraction of offered traffic is shed at the sources.
     /// Every change to the shed fraction is journaled as a two-phase
     /// `Shed` record, so a recovered controller replays the same
-    /// admission decisions. Re-attach with the same config to a loop
-    /// built by [`ClosedLoop::recover_from_journal`].
-    pub fn with_shedding(mut self, config: ShedConfig) -> Result<Self, ControllerError> {
-        self.shedder = Some(ShedController::new(config)?);
+    /// admission decisions. Re-attach to a loop built by
+    /// [`ClosedLoop::recover_from_journal`]. [`ShedConfig`] carries no
+    /// settings; the shedder's are constants in [`crate::shed`].
+    pub fn with_shedding(mut self, _config: ShedConfig) -> Result<Self, ControllerError> {
+        self.shedder = Some(ShedController::default());
         Ok(self)
     }
 
     /// Enables failure detection and self-healing re-placement.
     pub fn with_recovery(mut self, config: RecoveryConfig) -> Self {
         self.recovery = Some(RecoveryState {
-            detector: FailureDetector::new(self.cluster.num_workers(), config.detector.clone()),
+            detector: FailureDetector::new(self.cluster.num_workers()),
             config,
             pending: None,
             events: Vec::new(),
@@ -1460,18 +1461,18 @@ impl<'a> ClosedLoop<'a> {
     }
 
     /// Books one failed re-placement attempt as a `Retry`: exponential
-    /// backoff, or giving up once `max_retries` attempts are spent (the
+    /// backoff, or giving up once `MAX_RETRIES` attempts are spent (the
     /// job then continues degraded).
     fn retry(&mut self) -> Result<(), ControllerError> {
         let Some((attempts, gave_up, next_attempt_at)) = self.recovery.as_ref().and_then(|r| {
             let attempts = r.pending.as_ref()?.attempts + 1;
-            Some(if attempts > r.config.max_retries {
+            Some(if attempts > MAX_RETRIES {
                 (attempts, true, None)
             } else {
                 (
                     attempts,
                     false,
-                    Some(self.time + r.config.backoff(attempts)),
+                    Some(self.time + backoff(attempts)),
                 )
             })
         }) else {
@@ -1514,7 +1515,7 @@ impl<'a> ClosedLoop<'a> {
         // aborts any probation and adopts the forced plan as trusted.
         let snap = self.snapshot();
         if let Some(gov) = &mut self.guard {
-            gov.on_recovery_deploy(self.time, snap);
+            gov.on_recovery_deploy(snap);
         }
     }
 
@@ -1990,7 +1991,6 @@ impl<'a> ClosedLoop<'a> {
         let blackout = self.sim.in_blackout();
         let shed_fraction = self.sim.shed_fraction();
         let partitioned: Vec<bool> = self.sim.partitioned_workers().to_vec();
-        let net_degrades: Vec<f64> = self.sim.net_degrades().to_vec();
         let contentions: Vec<f64> = self.sim.contentions().to_vec();
         // Shift the schedule so the new simulation continues at the
         // current wall-clock position.
@@ -2020,11 +2020,6 @@ impl<'a> ClosedLoop<'a> {
         for (w, on) in partitioned.iter().enumerate() {
             if *on {
                 sim.set_partitioned(WorkerId(w), true);
-            }
-        }
-        for (w, f) in net_degrades.iter().enumerate() {
-            if *f < 1.0 {
-                sim.set_net_degrade(WorkerId(w), *f);
             }
         }
         for (w, c) in contentions.iter().enumerate() {
@@ -2384,7 +2379,7 @@ mod tests {
         );
         assert_eq!(ev.plans_tried, 1);
         assert_eq!(ev.rung, LadderRung::Caps);
-        // With miss_threshold 2 and 5s windows, declaration trails the
+        // With MISS_THRESHOLD 2 and 5s windows, declaration trails the
         // first silent heartbeat by one window.
         assert!(ev.detection_lag > 0.0, "no detection lag recorded");
         assert!(ev.time_to_recover >= ev.detection_lag);
@@ -2420,7 +2415,6 @@ mod tests {
                 time_budget: Some(Duration::ZERO),
                 ..SearchConfig::auto_tuned()
             },
-            ..RecoveryConfig::default()
         };
         let (victim, trace) = chaos_run(cfg);
         assert_eq!(trace.recovery_events.len(), 1);
@@ -3323,7 +3317,7 @@ mod tests {
         ) => {
             let (trace, text) = guard_run(*seed, true);
             let parsed = crate::journal::parse_journal(&text).unwrap();
-            let ttl = GuardConfig::default().quarantine_ttl;
+            let ttl = crate::guard::QUARANTINE_TTL;
             for rb in &trace.rollback_events {
                 // The regressed plan is the Prepare that burned the
                 // rollback's from_epoch.
@@ -3569,7 +3563,7 @@ mod tests {
                 .iter()
                 .any(|p| p.time > engaged_at
                     && p.time < 120.0
-                    && p.backpressure < ShedConfig::default().engage_threshold),
+                    && p.backpressure < crate::shed::ENGAGE_THRESHOLD),
             "shedding never relieved backpressure during the crowd"
         );
         // Every shed decision is journaled and committed.

@@ -275,7 +275,7 @@ impl FleetWorld {
         for pool in &pools {
             let specs = pool
                 .iter()
-                .map(|&g| global.worker(WorkerId(g)).spec.clone())
+                .map(|&g| global.worker(WorkerId(g)).spec)
                 .collect();
             clusters.push(Cluster::heterogeneous(specs)?);
         }
@@ -1002,7 +1002,6 @@ mod tests {
                 time_budget: Some(Duration::ZERO),
                 ..SearchConfig::auto_tuned()
             },
-            ..RecoveryConfig::default()
         }
     }
 

@@ -25,9 +25,9 @@
 //! *Baseline* tracks a rolling window of tracking ratio
 //! (throughput / DS2 target) and backpressure for the trusted plan.
 //! A scaling redeploy snapshots that baseline and enters *Probation*:
-//! the new plan is a canary judged after `probation_windows` policy
+//! the new plan is a canary judged after [`PROBATION_WINDOWS`] policy
 //! windows. A canary whose average tracking ratio falls more than
-//! `regression_threshold` below the baseline (or whose backpressure
+//! `REGRESSION_THRESHOLD` below the baseline (or whose backpressure
 //! rises by more than the threshold) is *regressed*: the governor asks
 //! the closed loop to restore the last-known-good plan through the
 //! same two-phase epoch-fenced redeploy as any other reconfiguration,
@@ -52,8 +52,6 @@ use std::collections::VecDeque;
 
 use capsys_util::json::{Json, ToJson};
 
-use crate::ControllerError;
-
 /// Small slack for time comparisons on window boundaries, matching the
 /// closed loop's fault-injection slack.
 const TIME_EPS: f64 = 1e-9;
@@ -69,7 +67,7 @@ const TIME_EPS: f64 = 1e-9;
 /// delivers the *demonstrated capacity* of the trusted plan, and only
 /// treats backpressure as damning when the offered load is one the
 /// trusted plan had shown it could absorb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BaselineMode {
     /// Raw comparison of tracking ratio and backpressure against the
     /// baseline averages. Vulnerable to false rollbacks under load
@@ -89,95 +87,44 @@ pub enum BaselineMode {
     /// A flash crowd or organic growth pushes `target` far above `C`:
     /// the throughput clause then only demands the demonstrated
     /// capacity, and the backpressure clause is gated off entirely.
+    #[default]
     DriftAware,
 }
 
-/// Tuning knobs of the safety governor.
-#[derive(Debug, Clone, PartialEq)]
+/// Policy windows a canary plan is observed before judgment.
+pub const PROBATION_WINDOWS: usize = 3;
+
+/// Relative regression that triggers a rollback: the canary is regressed
+/// when its tracking ratio falls below `(1 - REGRESSION_THRESHOLD) ·
+/// baseline`, or its backpressure exceeds the baseline by more than the
+/// threshold.
+pub(crate) const REGRESSION_THRESHOLD: f64 = 0.1;
+
+/// Baseline samples required before a deploy can be judged (also the
+/// rolling-average length). A deploy without enough baseline is adopted
+/// unjudged, as the loop did before the governor existed.
+pub(crate) const BASELINE_WINDOWS: usize = 3;
+
+/// How long a regressed plan stays quarantined, seconds.
+pub(crate) const QUARANTINE_TTL: f64 = 600.0;
+
+/// Cooldown after a rollback during which no scaling redeploy is
+/// attempted, seconds.
+pub(crate) const COOLDOWN: f64 = 30.0;
+
+/// Multiplicative cooldown growth per consecutive rollback.
+pub(crate) const COOLDOWN_FACTOR: f64 = 2.0;
+
+/// Hard cap on rollbacks per run; beyond it the governor stops rolling
+/// back (bounding oscillation) and leaves plans unjudged.
+pub const MAX_ROLLBACKS: usize = 3;
+
+/// Settings of the safety governor.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GuardConfig {
-    /// Policy windows a canary plan is observed before judgment.
-    pub probation_windows: usize,
-    /// Relative regression that triggers a rollback: the canary is
-    /// regressed when its tracking ratio falls below
-    /// `(1 - regression_threshold) ·  baseline`, or its backpressure
-    /// exceeds the baseline by more than the threshold. In `(0, 1)`.
-    pub regression_threshold: f64,
-    /// Baseline samples required before a deploy can be judged (also
-    /// the rolling-average length). A deploy without enough baseline is
-    /// adopted unjudged, as the loop did before the governor existed.
-    pub baseline_windows: usize,
-    /// How long a regressed plan stays quarantined, seconds.
-    pub quarantine_ttl: f64,
-    /// Cooldown after a rollback during which no scaling redeploy is
-    /// attempted, seconds.
-    pub cooldown: f64,
-    /// Multiplicative cooldown growth per consecutive rollback, `>= 1`.
-    pub cooldown_factor: f64,
-    /// Hard cap on rollbacks per run; beyond it the governor stops
-    /// rolling back (bounding oscillation) and leaves plans unjudged.
-    pub max_rollbacks: usize,
     /// How canaries are judged: load-normalized ([`BaselineMode::DriftAware`],
     /// the default) or raw ([`BaselineMode::Absolute`]).
     pub baseline_mode: BaselineMode,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            probation_windows: 3,
-            regression_threshold: 0.1,
-            baseline_windows: 3,
-            quarantine_ttl: 600.0,
-            cooldown: 30.0,
-            cooldown_factor: 2.0,
-            max_rollbacks: 3,
-            baseline_mode: BaselineMode::DriftAware,
-        }
-    }
-}
-
-impl GuardConfig {
-    /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), ControllerError> {
-        let bad = |msg: String| Err(ControllerError::InvalidConfig(msg));
-        if self.probation_windows == 0 {
-            return bad("probation_windows must be >= 1".into());
-        }
-        if !self.regression_threshold.is_finite()
-            || !(0.0..1.0).contains(&self.regression_threshold)
-            || self.regression_threshold == 0.0
-        {
-            return bad(format!(
-                "regression_threshold must be in (0, 1), got {}",
-                self.regression_threshold
-            ));
-        }
-        if self.baseline_windows == 0 {
-            return bad("baseline_windows must be >= 1".into());
-        }
-        if !self.quarantine_ttl.is_finite() || self.quarantine_ttl <= 0.0 {
-            return bad(format!(
-                "quarantine_ttl must be positive, got {}",
-                self.quarantine_ttl
-            ));
-        }
-        if !self.cooldown.is_finite() || self.cooldown < 0.0 {
-            return bad(format!(
-                "cooldown must be finite and non-negative, got {}",
-                self.cooldown
-            ));
-        }
-        if !self.cooldown_factor.is_finite() || self.cooldown_factor < 1.0 {
-            return bad(format!(
-                "cooldown_factor must be finite and >= 1, got {}",
-                self.cooldown_factor
-            ));
-        }
-        if self.max_rollbacks == 0 {
-            return bad("max_rollbacks must be >= 1".into());
-        }
-        Ok(())
-    }
 }
 
 /// A deployed plan, frozen for comparison and restoration.
@@ -295,9 +242,8 @@ pub struct SafetyGovernor {
 
 impl SafetyGovernor {
     /// A governor trusting `initial` (the epoch-0 deployment).
-    pub fn new(config: GuardConfig, initial: PlanSnapshot) -> Result<SafetyGovernor, ControllerError> {
-        config.validate()?;
-        Ok(SafetyGovernor {
+    pub fn new(config: GuardConfig, initial: PlanSnapshot) -> SafetyGovernor {
+        SafetyGovernor {
             config,
             phase: Phase::Baseline,
             baseline: VecDeque::new(),
@@ -306,12 +252,7 @@ impl SafetyGovernor {
             cooldown_until: f64::NEG_INFINITY,
             consecutive_rollbacks: 0,
             rollbacks_total: 0,
-        })
-    }
-
-    /// The governor's configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
+        }
     }
 
     /// Feeds one policy window's aggregate metrics. Returns a rollback
@@ -340,7 +281,7 @@ impl SafetyGovernor {
         match &mut self.phase {
             Phase::Baseline => {
                 self.baseline.push_back((tracking, backpressure, throughput.max(0.0)));
-                while self.baseline.len() > self.config.baseline_windows {
+                while self.baseline.len() > BASELINE_WINDOWS {
                     self.baseline.pop_front();
                 }
                 None
@@ -351,14 +292,14 @@ impl SafetyGovernor {
                 p.sum_backpressure += backpressure;
                 p.sum_throughput += throughput.max(0.0);
                 p.sum_target += target.max(0.0);
-                if p.windows < self.config.probation_windows {
+                if p.windows < PROBATION_WINDOWS {
                     return None;
                 }
                 let observed_tracking = p.sum_tracking / p.windows as f64;
                 let observed_bp = p.sum_backpressure / p.windows as f64;
                 let observed_throughput = p.sum_throughput / p.windows as f64;
                 let observed_target = p.sum_target / p.windows as f64;
-                let theta = self.config.regression_threshold;
+                let theta = REGRESSION_THRESHOLD;
                 let regressed = match self.config.baseline_mode {
                     BaselineMode::Absolute => {
                         observed_tracking < (1.0 - theta) * p.baseline_tracking
@@ -386,7 +327,7 @@ impl SafetyGovernor {
                         .push_back((observed_tracking, observed_bp, observed_throughput));
                     return None;
                 }
-                if self.rollbacks_total >= self.config.max_rollbacks {
+                if self.rollbacks_total >= MAX_ROLLBACKS {
                     // Rollback budget exhausted: stay put (the canary
                     // keeps running, unjudged and untrusted) rather
                     // than oscillate further.
@@ -420,7 +361,7 @@ impl SafetyGovernor {
                 }
                 Phase::Baseline => {
                     let n = self.baseline.len();
-                    if n >= self.config.baseline_windows {
+                    if n >= BASELINE_WINDOWS {
                         let (st, sb, sc) = self
                             .baseline
                             .iter()
@@ -458,7 +399,7 @@ impl SafetyGovernor {
     /// Reports a recovery redeploy: forced re-placements are never
     /// canaried, and any running probation is aborted (the cluster the
     /// baseline was measured on no longer exists).
-    pub fn on_recovery_deploy(&mut self, _time: f64, new: PlanSnapshot) {
+    pub fn on_recovery_deploy(&mut self, new: PlanSnapshot) {
         self.phase = Phase::Baseline;
         self.baseline.clear();
         self.last_known_good = new;
@@ -470,15 +411,12 @@ impl SafetyGovernor {
     pub fn on_rollback(&mut self, time: f64, req: &RollbackRequest) -> f64 {
         self.quarantine.push(QuarantineEntry {
             parallelism: req.regressed.parallelism.clone(),
-            expires_at: time + self.config.quarantine_ttl,
+            expires_at: time + QUARANTINE_TTL,
         });
         self.consecutive_rollbacks += 1;
         self.rollbacks_total += 1;
-        let growth = self
-            .config
-            .cooldown_factor
-            .powi(self.consecutive_rollbacks as i32 - 1);
-        self.cooldown_until = time + self.config.cooldown * growth;
+        let growth = COOLDOWN_FACTOR.powi(self.consecutive_rollbacks as i32 - 1);
+        self.cooldown_until = time + COOLDOWN * growth;
         // The restored plan is (still) the trusted one; its baseline
         // samples were not polluted during probation.
         self.phase = Phase::Baseline;
@@ -540,7 +478,7 @@ mod tests {
     }
 
     fn governor() -> SafetyGovernor {
-        SafetyGovernor::new(GuardConfig::default(), snap(&[1, 1], 0)).unwrap()
+        SafetyGovernor::new(GuardConfig::default(), snap(&[1, 1], 0))
     }
 
     /// Feeds `n` baseline windows of the given quality.
@@ -551,24 +489,6 @@ mod tests {
             assert!(g.observe_window(t, tp, tgt, bp).is_none());
         }
         t
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        assert!(GuardConfig::default().validate().is_ok());
-        for bad in [
-            GuardConfig { probation_windows: 0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: 0.0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: 1.0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: f64::NAN, ..GuardConfig::default() },
-            GuardConfig { baseline_windows: 0, ..GuardConfig::default() },
-            GuardConfig { quarantine_ttl: 0.0, ..GuardConfig::default() },
-            GuardConfig { cooldown: -1.0, ..GuardConfig::default() },
-            GuardConfig { cooldown_factor: 0.9, ..GuardConfig::default() },
-            GuardConfig { max_rollbacks: 0, ..GuardConfig::default() },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]
@@ -682,7 +602,7 @@ mod tests {
         let t = feed(&mut g, 0.0, 3, 990.0, 1000.0, 0.01);
         g.on_scaling_deploy(t, snap(&[2, 2], 1));
         assert!(g.in_probation());
-        g.on_recovery_deploy(t + 5.0, snap(&[2, 1], 2));
+        g.on_recovery_deploy(snap(&[2, 1], 2));
         assert!(!g.in_probation());
         assert_eq!(g.last_known_good(), &snap(&[2, 1], 2));
         // Post-recovery deploys need a fresh baseline before probation.
@@ -724,8 +644,8 @@ mod tests {
     /// A governor in the given judgment mode, with a healthy baseline
     /// at 990/1000 already fed and a canary deployed at `t`.
     fn on_probation(mode: BaselineMode) -> (SafetyGovernor, f64) {
-        let config = GuardConfig { baseline_mode: mode, ..GuardConfig::default() };
-        let mut g = SafetyGovernor::new(config, snap(&[1, 1], 0)).unwrap();
+        let config = GuardConfig { baseline_mode: mode };
+        let mut g = SafetyGovernor::new(config, snap(&[1, 1], 0));
         let t = feed(&mut g, 0.0, 3, 990.0, 1000.0, 0.01);
         g.on_scaling_deploy(t, snap(&[2, 2], 1));
         (g, t)

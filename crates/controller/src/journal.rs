@@ -979,7 +979,7 @@ mod tests {
                     // truncated file: damage stacked on damage.
                     _ => {
                         let cut = 1 + pos % pristine.len();
-                        let mut bytes = pristine[..cut].as_bytes().to_vec();
+                        let mut bytes = pristine.as_bytes()[..cut].to_vec();
                         let at = (pos / 7) % bytes.len();
                         bytes[at] ^= 1 << bit;
                         let damaged = String::from_utf8_lossy(&bytes).into_owned();

@@ -53,8 +53,8 @@ pub use journal::{DecisionJournal, DecisionRecord, ParsedJournal, RedeployReason
 pub use shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 pub use profiler::{profile_query, ProfileReport, ProfilerConfig};
 pub use recovery::{
-    place_with_ladder, place_with_movemin, round_robin_free, Detection, DetectorConfig,
-    FailureDetector, LadderRung, RecoveryConfig, RecoveryEvent,
+    place_with_ladder, place_with_movemin, round_robin_free, Detection, FailureDetector,
+    LadderRung, RecoveryConfig, RecoveryEvent,
 };
 
 use capsys_ds2::Ds2Error;

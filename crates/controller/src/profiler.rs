@@ -21,14 +21,15 @@ use capsys_sim::{SimConfig, Simulation};
 
 use crate::ControllerError;
 
+/// Fraction of the isolation cluster's capacity rate used as the probe
+/// rate; well below 1 so no operator saturates.
+const PROBE_FRACTION: f64 = 0.3;
+
 /// Configuration of the profiling phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerConfig {
     /// Worker spec of the isolation Task Managers.
     pub worker: WorkerSpec,
-    /// Fraction of the isolation cluster's capacity rate used as the
-    /// probe rate; keep well below 1 so no operator saturates.
-    pub probe_fraction: f64,
     /// Simulated profiling duration, seconds (the paper uses 20 min for
     /// realistic state accumulation; simulations converge much faster).
     pub duration: f64,
@@ -40,7 +41,6 @@ impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {
             worker: WorkerSpec::m5d_2xlarge(16),
-            probe_fraction: 0.3,
             duration: 60.0,
             warmup: 10.0,
         }
@@ -87,7 +87,7 @@ pub fn profile_query(
     let placement = Placement::new(assignment);
 
     let probe_rate = query
-        .capacity_rate(&cluster, config.probe_fraction)
+        .capacity_rate(&cluster, PROBE_FRACTION)
         .map_err(ControllerError::Model)?;
     let schedules = query.schedules(probe_rate);
 

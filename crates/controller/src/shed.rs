@@ -24,8 +24,8 @@
 //! processed throughput — under saturation the job processes at
 //! exactly its capacity, so the recent maximum is an observed lower
 //! bound on it) and `offered` the measured pre-shed ingest, the desired
-//! fraction is `1 - headroom·C / offered`: admit slightly less than the
-//! job has proven it can process. Release requires `release_windows`
+//! fraction is `1 - HEADROOM·C / offered`: admit slightly less than the
+//! job has proven it can process. Release requires [`RELEASE_WINDOWS`]
 //! consecutive windows in which the *offered* load (not the shed one)
 //! fits inside the demonstrated capacity and backpressure is calm —
 //! one quiet window under a still-raging flash crowd must not drop the
@@ -33,80 +33,33 @@
 
 use std::collections::VecDeque;
 
-use crate::ControllerError;
+/// Backpressure (on *admitted* traffic) above which shedding engages or
+/// is re-sized upward.
+pub const ENGAGE_THRESHOLD: f64 = 0.3;
 
-/// Tuning knobs of the admission/shedding controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShedConfig {
-    /// Backpressure (on *admitted* traffic) above which shedding
-    /// engages or is re-sized upward. In `(0, 1)`.
-    pub engage_threshold: f64,
-    /// Fraction of demonstrated capacity to admit when shedding: the
-    /// shed fraction targets `admitted = headroom · capacity`. In
-    /// `(0, 1]`.
-    pub headroom: f64,
-    /// Hard cap on the shed fraction — the controller never drops more
-    /// than this share of offered traffic. In `[0, 1)`.
-    pub max_fraction: f64,
-    /// Consecutive calm windows (offered load within capacity,
-    /// backpressure below the engage threshold) before full admission
-    /// is restored.
-    pub release_windows: usize,
-    /// Minimum change of fraction worth a journaled reconfiguration;
-    /// smaller corrections are suppressed to bound churn. In `(0, 1)`.
-    pub min_delta: f64,
-    /// Rolling window length (policy windows) of the capacity estimate.
-    pub capacity_windows: usize,
-}
+/// Fraction of demonstrated capacity to admit when shedding: the shed
+/// fraction targets `admitted = HEADROOM · capacity`.
+pub(crate) const HEADROOM: f64 = 0.95;
 
-impl Default for ShedConfig {
-    fn default() -> Self {
-        ShedConfig {
-            engage_threshold: 0.3,
-            headroom: 0.95,
-            max_fraction: 0.9,
-            release_windows: 3,
-            min_delta: 0.05,
-            capacity_windows: 6,
-        }
-    }
-}
+/// Hard cap on the shed fraction: the controller never drops more than
+/// this share of offered traffic.
+pub(crate) const MAX_FRACTION: f64 = 0.9;
 
-impl ShedConfig {
-    /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), ControllerError> {
-        let bad = |msg: String| Err(ControllerError::InvalidConfig(msg));
-        if !self.engage_threshold.is_finite() || !(0.0..1.0).contains(&self.engage_threshold)
-            || self.engage_threshold == 0.0
-        {
-            return bad(format!(
-                "engage_threshold must be in (0, 1), got {}",
-                self.engage_threshold
-            ));
-        }
-        if !self.headroom.is_finite() || self.headroom <= 0.0 || self.headroom > 1.0 {
-            return bad(format!("headroom must be in (0, 1], got {}", self.headroom));
-        }
-        if !self.max_fraction.is_finite() || !(0.0..1.0).contains(&self.max_fraction) {
-            return bad(format!(
-                "max_fraction must be in [0, 1), got {}",
-                self.max_fraction
-            ));
-        }
-        if self.release_windows == 0 {
-            return bad("release_windows must be >= 1".into());
-        }
-        if !self.min_delta.is_finite() || !(0.0..1.0).contains(&self.min_delta)
-            || self.min_delta == 0.0
-        {
-            return bad(format!("min_delta must be in (0, 1), got {}", self.min_delta));
-        }
-        if self.capacity_windows == 0 {
-            return bad("capacity_windows must be >= 1".into());
-        }
-        Ok(())
-    }
-}
+/// Consecutive calm windows (offered load within capacity, backpressure
+/// below the engage threshold) before full admission is restored.
+pub const RELEASE_WINDOWS: usize = 3;
+
+/// Minimum change of fraction worth a journaled reconfiguration; smaller
+/// corrections are suppressed to bound churn.
+pub(crate) const MIN_DELTA: f64 = 0.05;
+
+/// Rolling window length (policy windows) of the capacity estimate.
+pub const CAPACITY_WINDOWS: usize = 6;
+
+/// Settings of the admission/shedding controller. It has none: the
+/// sizing and hysteresis values are the constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShedConfig {}
 
 /// One applied shed change, surfaced on the closed-loop trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,10 +104,10 @@ pub struct ShedRequest {
     pub capacity: f64,
 }
 
-/// The admission/shedding controller (see module docs).
-#[derive(Debug, Clone)]
+/// The admission/shedding controller (see module docs). The default is
+/// a controller at full admission.
+#[derive(Debug, Clone, Default)]
 pub struct ShedController {
-    config: ShedConfig,
     /// Rolling processed-throughput samples; their maximum is the
     /// demonstrated-capacity estimate.
     window: VecDeque<f64>,
@@ -168,23 +121,6 @@ pub struct ShedController {
 }
 
 impl ShedController {
-    /// A controller at full admission.
-    pub fn new(config: ShedConfig) -> Result<ShedController, ControllerError> {
-        config.validate()?;
-        Ok(ShedController {
-            config,
-            window: VecDeque::new(),
-            calm: 0,
-            stalled: 0,
-            fraction: 0.0,
-        })
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &ShedConfig {
-        &self.config
-    }
-
     /// The shed fraction currently applied.
     pub fn fraction(&self) -> f64 {
         self.fraction
@@ -221,26 +157,25 @@ impl ShedController {
         // While shedding with calm pressure, throughput equals the
         // admitted traffic — an artifact of our own throttle, not a
         // demonstration of capacity. Recording it would spiral the
-        // estimate downward (each shed round admits `headroom ×` the
+        // estimate downward (each shed round admits `HEADROOM ×` the
         // previous estimate), so the window only takes samples that
         // demonstrate a binding limit: full admission, or admitted
         // traffic still under pressure.
-        let binding = self.fraction == 0.0 || backpressure > self.config.engage_threshold;
+        let binding = self.fraction == 0.0 || backpressure > ENGAGE_THRESHOLD;
         if binding {
             self.window.push_back(throughput);
-            while self.window.len() > self.config.capacity_windows {
+            while self.window.len() > CAPACITY_WINDOWS {
                 self.window.pop_front();
             }
         }
         let capacity = self.capacity();
 
         // Release path: offered load fits the demonstrated capacity and
-        // pressure is calm. Hysteresis: `release_windows` in a row.
+        // pressure is calm. Hysteresis: `RELEASE_WINDOWS` in a row.
         if self.fraction > 0.0 {
-            let calm = offered * self.config.headroom <= capacity
-                && backpressure <= self.config.engage_threshold;
+            let calm = offered * HEADROOM <= capacity && backpressure <= ENGAGE_THRESHOLD;
             self.calm = if calm { self.calm + 1 } else { 0 };
-            if self.calm >= self.config.release_windows {
+            if self.calm >= RELEASE_WINDOWS {
                 return Some(ShedRequest {
                     fraction: 0.0,
                     offered,
@@ -256,16 +191,15 @@ impl ShedController {
         // desired fraction (e.g. a transient spike while offered load is
         // back inside capacity) must not yank admission open; reductions
         // go exclusively through the hysteretic release path above.
-        // Warmup: an estimate from fewer than `capacity_windows` samples
+        // Warmup: an estimate from fewer than `CAPACITY_WINDOWS` samples
         // is not trusted — a freshly started (or just-rescaled) job under
         // pressure is the scaler's problem first, the shedder's only if
         // the pressure outlasts a full window.
-        if self.fraction == 0.0 && self.window.len() < self.config.capacity_windows {
+        if self.fraction == 0.0 && self.window.len() < CAPACITY_WINDOWS {
             return None;
         }
-        if backpressure > self.config.engage_threshold && offered > 0.0 {
-            let desired = (1.0 - self.config.headroom * capacity / offered)
-                .clamp(0.0, self.config.max_fraction);
+        if backpressure > ENGAGE_THRESHOLD && offered > 0.0 {
+            let desired = (1.0 - HEADROOM * capacity / offered).clamp(0.0, MAX_FRACTION);
             let step = desired - self.fraction;
             // The deadband bounds churn, but it must not suppress a
             // needed correction *indefinitely* while the pressure
@@ -273,10 +207,9 @@ impl ShedController {
             // deadband of the true requirement, the fraction would
             // otherwise stall a few percent short and the system would
             // stay saturated for the rest of the overload. Symmetric to
-            // the release hysteresis, `release_windows` consecutive
+            // the release hysteresis, `RELEASE_WINDOWS` consecutive
             // suppressed-but-needed windows force the correction.
-            if step >= self.config.min_delta
-                || (step > 0.0 && self.stalled + 1 >= self.config.release_windows)
+            if step >= MIN_DELTA || (step > 0.0 && self.stalled + 1 >= RELEASE_WINDOWS)
             {
                 self.stalled = 0;
                 return Some(ShedRequest {
@@ -294,7 +227,7 @@ impl ShedController {
 
     /// Reports that a requested change was applied to the cluster.
     pub fn on_applied(&mut self, fraction: f64) {
-        self.fraction = fraction.clamp(0.0, self.config.max_fraction);
+        self.fraction = fraction.clamp(0.0, MAX_FRACTION);
         self.calm = 0;
         self.stalled = 0;
     }
@@ -305,7 +238,7 @@ mod tests {
     use super::*;
 
     fn shedder() -> ShedController {
-        ShedController::new(ShedConfig::default()).unwrap()
+        ShedController::default()
     }
 
     /// Feeds `n` identical windows, asserting no request fires.
@@ -315,25 +248,6 @@ mod tests {
                 s.observe_window(i as f64 * 5.0, tp, offered, bp).is_none(),
                 "unexpected shed request at window {i}"
             );
-        }
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        assert!(ShedConfig::default().validate().is_ok());
-        for bad in [
-            ShedConfig { engage_threshold: 0.0, ..ShedConfig::default() },
-            ShedConfig { engage_threshold: 1.0, ..ShedConfig::default() },
-            ShedConfig { engage_threshold: f64::NAN, ..ShedConfig::default() },
-            ShedConfig { headroom: 0.0, ..ShedConfig::default() },
-            ShedConfig { headroom: 1.5, ..ShedConfig::default() },
-            ShedConfig { max_fraction: 1.0, ..ShedConfig::default() },
-            ShedConfig { max_fraction: -0.1, ..ShedConfig::default() },
-            ShedConfig { release_windows: 0, ..ShedConfig::default() },
-            ShedConfig { min_delta: 0.0, ..ShedConfig::default() },
-            ShedConfig { capacity_windows: 0, ..ShedConfig::default() },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
     }
 
@@ -375,7 +289,7 @@ mod tests {
             assert!(s.observe_window(i as f64 * 5.0, 0.0, 5000.0, 1.0).is_none());
         }
         let req = s.observe_window(25.0, 0.0, 5000.0, 1.0).unwrap();
-        assert_eq!(req.fraction, ShedConfig::default().max_fraction);
+        assert_eq!(req.fraction, MAX_FRACTION);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! 1. **Per-dimension minimum.** For each dimension in isolation (the
 //!    other two disabled), start from the tightest possible bound and
-//!    relax it geometrically (factor 1.1 in the paper and by default
-//!    here) until a feasible plan exists.
+//!    relax it geometrically (factor 1.1, as in the paper) until a
+//!    feasible plan exists.
 //! 2. **Joint relaxation.** Feasibility per dimension does not imply
 //!    joint feasibility, so starting from the phase-1 vector, all three
 //!    thresholds are relaxed together until a plan satisfying all of them
@@ -58,25 +58,25 @@ use crate::cost::{CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::search::{CapsSearch, SearchConfig};
 
+/// Geometric relaxation factor of both tuning phases (paper: 1.1).
+const RELAX_FACTOR: f64 = 1.1;
+
+/// The smallest non-zero threshold to try when the tightest bound is
+/// zero (a geometric relaxation cannot leave zero on its own).
+const RELAX_SEED: f64 = 0.01;
+
+/// Dimensions whose aggregate demand is below this fraction of the
+/// cluster capacity are left unconstrained (`α = ∞`): an under-pressure
+/// dimension cannot produce contention, and tight thresholds on it would
+/// push the search toward plans that trade real balance (e.g. CPU) for
+/// irrelevant balance (e.g. network on an idle NIC).
+const MIN_PRESSURE: f64 = 0.05;
+
 /// Configuration of the threshold auto-tuner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoTuneConfig {
-    /// Relaxation factor for the per-dimension phase (paper: 1.1).
-    pub phase1_factor: f64,
-    /// Relaxation factor for the joint phase (paper: 1.1).
-    pub phase2_factor: f64,
-    /// The smallest non-zero threshold to try when the tightest bound is
-    /// zero (a geometric relaxation cannot leave zero on its own).
-    pub seed: f64,
     /// Wall-clock budget for the whole tuning process.
     pub timeout: Duration,
-    /// Dimensions whose aggregate demand is below this fraction of the
-    /// cluster capacity are left unconstrained (`α = ∞`): an
-    /// under-pressure dimension cannot produce contention, and tight
-    /// thresholds on it would push the search toward plans that trade
-    /// real balance (e.g. CPU) for irrelevant balance (e.g. network on an
-    /// idle NIC).
-    pub min_pressure: f64,
     /// Node budget per feasibility probe. A probe that exhausts the
     /// budget without finding a plan is treated as infeasible and the
     /// threshold is relaxed further — a conservative early exit that
@@ -94,11 +94,7 @@ pub struct AutoTuneConfig {
 impl Default for AutoTuneConfig {
     fn default() -> Self {
         AutoTuneConfig {
-            phase1_factor: 1.1,
-            phase2_factor: 1.1,
-            seed: 0.01,
             timeout: Duration::from_secs(5),
-            min_pressure: 0.05,
             probe_node_budget: 2_000_000,
             warm_start: true,
         }
@@ -192,14 +188,6 @@ impl<'a> AutoTuner<'a> {
         search: &CapsSearch<'_>,
         base: &SearchConfig,
     ) -> Result<AutoTuneReport, CapsError> {
-        if self.config.phase1_factor <= 1.0 || self.config.phase2_factor <= 1.0 {
-            return Err(CapsError::InvalidConfig(
-                "relaxation factors must be greater than 1".into(),
-            ));
-        }
-        if self.config.seed.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(CapsError::InvalidConfig("seed must be positive".into()));
-        }
         let start = Instant::now();
         let deadline = start + self.config.timeout;
         let mut iterations = 0usize;
@@ -219,7 +207,7 @@ impl<'a> AutoTuner<'a> {
         let pressure = search.cost_model().pressure();
         let mut per_dimension = [f64::INFINITY; 3];
         for dim in 0..3 {
-            if pressure[dim] < self.config.min_pressure {
+            if pressure[dim] < MIN_PRESSURE {
                 continue;
             }
             let mut alpha = search.cost_model().tightest_cost(dim);
@@ -235,7 +223,7 @@ impl<'a> AutoTuner<'a> {
                     // alpha of 1 means no plan exists at all.
                     return Err(CapsError::NoFeasiblePlan);
                 }
-                alpha = self.relax(alpha, self.config.phase1_factor).min(1.0);
+                alpha = relax(alpha).min(1.0);
                 if Instant::now() >= deadline {
                     return Err(CapsError::AutoTuneTimeout {
                         last_tried: {
@@ -250,13 +238,7 @@ impl<'a> AutoTuner<'a> {
 
         // Phase 2: joint relaxation of the active thresholds.
         let mut th = Thresholds::new(per_dimension[0], per_dimension[1], per_dimension[2]);
-        let relax_active = |tuner: &AutoTuner<'_>, v: f64| {
-            if v.is_finite() {
-                tuner.relax(v, tuner.config.phase2_factor).min(1.0)
-            } else {
-                v
-            }
-        };
+        let relax_active = |v: f64| if v.is_finite() { relax(v).min(1.0) } else { v };
         loop {
             iterations += 1;
             if cache.probe(search, &th, base, deadline, warm)? {
@@ -269,9 +251,9 @@ impl<'a> AutoTuner<'a> {
                 return Err(CapsError::NoFeasiblePlan);
             }
             th = Thresholds::new(
-                relax_active(self, th.cpu),
-                relax_active(self, th.io),
-                relax_active(self, th.net),
+                relax_active(th.cpu),
+                relax_active(th.io),
+                relax_active(th.net),
             );
             if Instant::now() >= deadline {
                 return Err(CapsError::AutoTuneTimeout {
@@ -289,15 +271,15 @@ impl<'a> AutoTuner<'a> {
             elapsed: start.elapsed(),
         })
     }
+}
 
-    /// One relaxation step: geometric growth, bootstrapped by the seed
-    /// when the current value is zero.
-    fn relax(&self, alpha: f64, factor: f64) -> f64 {
-        if alpha < self.config.seed {
-            self.config.seed
-        } else {
-            alpha * factor
-        }
+/// One relaxation step: geometric growth, bootstrapped by
+/// [`RELAX_SEED`] when the current value is zero.
+fn relax(alpha: f64) -> f64 {
+    if alpha < RELAX_SEED {
+        RELAX_SEED
+    } else {
+        alpha * RELAX_FACTOR
     }
 }
 
@@ -366,7 +348,7 @@ mod tests {
             .tune(&search, &base)
             .unwrap();
         let th = report.thresholds;
-        let factor = base.auto_tune.phase2_factor.powi(2);
+        let factor = RELAX_FACTOR.powi(2);
         let floor: Vec<f64> = (0..3)
             .map(|d| search.cost_model().tightest_cost(d))
             .collect();
@@ -457,23 +439,6 @@ mod tests {
         // Warm-start off: both go back to the search.
         assert!(cache.probe(&search, &feasible, &base, deadline, false).unwrap());
         assert_eq!(cache.searches, 3);
-    }
-
-    #[test]
-    fn invalid_tuner_config_is_rejected() {
-        let (g, p, c, lm) = fixture();
-        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let base = SearchConfig::auto_tuned();
-        let bad = AutoTuneConfig {
-            phase1_factor: 1.0,
-            ..AutoTuneConfig::default()
-        };
-        assert!(AutoTuner::new(&bad).tune(&search, &base).is_err());
-        let bad = AutoTuneConfig {
-            seed: 0.0,
-            ..AutoTuneConfig::default()
-        };
-        assert!(AutoTuner::new(&bad).tune(&search, &base).is_err());
     }
 
     #[test]

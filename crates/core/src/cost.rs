@@ -606,12 +606,12 @@ mod tests {
         let m = CostModel::new(&p, &c, &lm).unwrap();
         for f in capsys_model::enumerate_plans(&p, &c, usize::MAX).unwrap() {
             let loads = m.plan_loads(&p, &f);
-            for dim in 0..3 {
-                let cost = m.load_to_cost(dim, loads[dim]);
+            for (dim, &load) in loads.iter().enumerate() {
+                let cost = m.load_to_cost(dim, load);
                 let back = m.cost_to_load(dim, cost);
                 // The inversion is the *largest* load at or below the
                 // cost, so the original load must be admitted...
-                assert!(back >= loads[dim], "dim {dim}: boundary excludes witness");
+                assert!(back >= load, "dim {dim}: boundary excludes witness");
                 if !back.is_max() {
                     // ...and one mantissa step past the boundary must
                     // exceed the cost.

@@ -42,12 +42,11 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 pub mod autotune;
 pub mod cost;
 pub mod error;
 pub mod mcts;
-#[allow(unsafe_code)]
 mod memo;
 pub mod movemin;
 mod parallel;

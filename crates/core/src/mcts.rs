@@ -56,14 +56,20 @@ use crate::strategy::{BackendResult, StrategyContext};
 /// Default playout cap when neither a node nor a time budget is set.
 const DEFAULT_ITERATIONS: usize = 4096;
 
+/// UCT exploration constant `c` in `mean + c·√(ln N / n)`.
+const EXPLORATION: f64 = std::f64::consts::SQRT_2;
+
+/// When a node's canonical child-row count is at most this, all children
+/// are enumerated up front (the node becomes exhaustive and UCT covers it
+/// completely); wider nodes grow children by sampling.
+const FULL_EXPAND_LIMIT: usize = 64;
+
 /// Configuration of the MCTS backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MctsConfig {
     /// Seed of the backend's private RNG. Same seed + same node budget
     /// ⇒ byte-identical best plan, visit counts, and anytime curve.
     pub seed: u64,
-    /// UCT exploration constant `c` in `mean + c·√(ln N / n)`.
-    pub exploration: f64,
     /// Probability a rollout row takes the balanced (fair-share) count
     /// instead of a uniform canonical count. `0` is fully random, `1`
     /// fully greedy; greedy-only rollouts lose full support over the
@@ -73,20 +79,14 @@ pub struct MctsConfig {
     /// search (or [`DEFAULT_ITERATIONS`] playouts when no budget is set
     /// at all).
     pub iterations: Option<usize>,
-    /// When a node's canonical child-row count is at most this, all
-    /// children are enumerated up front (the node becomes exhaustive and
-    /// UCT covers it completely); wider nodes grow children by sampling.
-    pub full_expand_limit: usize,
 }
 
 impl Default for MctsConfig {
     fn default() -> Self {
         MctsConfig {
             seed: 0xCA95,
-            exploration: std::f64::consts::SQRT_2,
             greedy_bias: 0.7,
             iterations: None,
-            full_expand_limit: 64,
         }
     }
 }
@@ -101,22 +101,11 @@ impl MctsConfig {
     }
 
     fn validate(&self) -> Result<(), CapsError> {
-        if !self.exploration.is_finite() || self.exploration < 0.0 {
-            return Err(CapsError::InvalidConfig(format!(
-                "mcts exploration must be finite and non-negative, got {}",
-                self.exploration
-            )));
-        }
         if !self.greedy_bias.is_finite() || !(0.0..=1.0).contains(&self.greedy_bias) {
             return Err(CapsError::InvalidConfig(format!(
                 "mcts greedy_bias must be in [0, 1], got {}",
                 self.greedy_bias
             )));
-        }
-        if self.full_expand_limit == 0 {
-            return Err(CapsError::InvalidConfig(
-                "mcts full_expand_limit must be >= 1".into(),
-            ));
         }
         Ok(())
     }
@@ -243,13 +232,12 @@ fn sample_row(
         } else if rng.gen_bool(greedy_bias) {
             let suffix: usize = remaining[w + 1..].iter().sum();
             let slots = remaining[w] + suffix;
-            let ideal = if slots == 0 {
+            if slots == 0 {
                 floor
             } else {
                 ((tasks_left as f64 * remaining[w] as f64 / slots as f64).round() as usize)
                     .clamp(floor, cap)
-            };
-            ideal
+            }
         } else {
             rng.gen_range(floor..=cap)
         };
@@ -549,7 +537,7 @@ impl MctsStrategy {
                         &run.tree[cur].remaining,
                         &run.tree[cur].groups,
                         tasks,
-                        run.cfg.full_expand_limit,
+                        FULL_EXPAND_LIMIT,
                     );
                     match all {
                         Some(all_rows) => {
@@ -604,7 +592,7 @@ impl MctsStrategy {
                             .checked_div(Fixed64::from_int(st.visits as i64))
                             .unwrap_or(Fixed64::ZERO)
                             .to_f64();
-                        mean + run.cfg.exploration * (ln_n / st.visits as f64).sqrt()
+                        mean + EXPLORATION * (ln_n / st.visits as f64).sqrt()
                     };
                     if score > best_score {
                         best_score = score;
@@ -626,11 +614,11 @@ impl MctsStrategy {
             // Rollout: complete the prefix with sampled canonical rows.
             let mut remaining = run.tree[cur].remaining.clone();
             let mut groups = run.tree[cur].groups.clone();
-            for layer in run.tree[cur].layer..layers {
+            for &tasks in &layer_tasks[run.tree[cur].layer..layers] {
                 let row = sample_row(
                     &remaining,
                     &groups,
-                    layer_tasks[layer],
+                    tasks,
                     run.cfg.greedy_bias,
                     &mut run.rng,
                 );

@@ -13,8 +13,8 @@
 //! of feasible plans stays exact.
 //!
 //! [`MemoTable`] is a bounded, lock-free, insert-only hash table shared
-//! CAS-style across the work-stealing threads (§5.1). Each slot pairs an
-//! atomic tag (the 64-bit state hash) with an atomic pointer to the full
+//! across the work-stealing threads (§5.1). Each slot pairs an atomic
+//! tag (the 64-bit state hash) with a write-once cell holding the full
 //! **verify key** — the canonical state serialized as `u64` words. A
 //! lookup only hits when the verify key matches word-for-word, so a hash
 //! collision can never skip a live subtree (see
@@ -22,11 +22,14 @@
 //! fills up, further inserts are dropped: the table is a cache, and
 //! forgetting a dead end only costs time, never correctness.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Slots in the table. Power of two; at 16 bytes of atomics per slot the
-/// empty table costs 256 KiB, bounding memory no matter how large the
-/// search space is.
+use capsys_model::fnv1a64_word;
+
+/// Slots in the table. Power of two; the empty table is one allocation
+/// of fixed size, bounding memory no matter how large the search space
+/// is.
 const CAPACITY: usize = 1 << 14;
 
 /// Linear-probe window. Beyond this many occupied neighbours an insert
@@ -49,15 +52,6 @@ pub(crate) struct MemoSetup {
     pub open_ops: Vec<Vec<usize>>,
 }
 
-/// One FNV-1a step over the eight little-endian bytes of `word`.
-pub(crate) fn fnv1a64_word(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a over a word slice, starting from the standard offset basis.
 pub(crate) fn fnv1a64(words: &[u64]) -> u64 {
     words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| fnv1a64_word(h, w))
@@ -67,17 +61,17 @@ pub(crate) fn fnv1a64(words: &[u64]) -> u64 {
 pub(crate) struct MemoTable {
     /// State hash per slot; `0` means "nothing published here yet".
     tags: Vec<AtomicU64>,
-    /// The verify key per slot. A slot is *claimed* by CAS-ing this
-    /// pointer from null; the tag is published afterwards, so a reader
-    /// that sees the tag (Acquire) also sees the key it hashes.
-    keys: Vec<AtomicPtr<Vec<u64>>>,
+    /// The verify key per slot. A slot is *claimed* by setting its cell;
+    /// the tag is published afterwards, so a reader that sees the tag
+    /// (Acquire) also sees the key it hashes.
+    keys: Vec<OnceLock<Box<[u64]>>>,
 }
 
 impl MemoTable {
     pub(crate) fn new() -> MemoTable {
         MemoTable {
             tags: (0..CAPACITY).map(|_| AtomicU64::new(0)).collect(),
-            keys: (0..CAPACITY).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
+            keys: (0..CAPACITY).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -111,29 +105,15 @@ impl MemoTable {
     pub(crate) fn contains(&self, hash: u64, key: &[u64]) -> bool {
         let tag = Self::tag_of(hash);
         let mask = CAPACITY - 1;
-        for i in 0..PROBE {
+        (0..PROBE).any(|i| {
             let slot = (hash as usize).wrapping_add(i) & mask;
-            let seen = self.tags[slot].load(Ordering::Acquire);
-            if seen == 0 {
-                // Insertion fills windows front-to-back only in the
-                // absence of races; an in-flight claim may leave a
-                // transient hole, so keep probing the whole window.
-                continue;
-            }
-            if seen != tag {
-                continue;
-            }
-            let ptr = self.keys[slot].load(Ordering::Acquire);
-            if ptr.is_null() {
-                continue; // Claimed but not yet published.
-            }
-            // Safety: a non-null pointer was created by `Box::into_raw`
-            // in `insert` and is never freed before the table drops.
-            if unsafe { (*ptr).as_slice() } == key {
-                return true;
-            }
-        }
-        false
+            // Insertion fills windows front-to-back only in the absence
+            // of races; an in-flight claim may leave a transient hole
+            // (or a claimed but untagged slot), so probe the whole
+            // window.
+            self.tags[slot].load(Ordering::Acquire) == tag
+                && self.keys[slot].get().is_some_and(|k| **k == *key)
+        })
     }
 
     /// Records `key` as a dead state. Best-effort: if every slot in the
@@ -141,16 +121,13 @@ impl MemoTable {
     pub(crate) fn insert(&self, hash: u64, key: Vec<u64>) {
         let tag = Self::tag_of(hash);
         let mask = CAPACITY - 1;
-        let boxed = Box::into_raw(Box::new(key));
+        let mut key = key.into_boxed_slice();
         for i in 0..PROBE {
             let slot = (hash as usize).wrapping_add(i) & mask;
             let seen = self.tags[slot].load(Ordering::Acquire);
             if seen == tag {
-                let ptr = self.keys[slot].load(Ordering::Acquire);
-                // Safety: as in `contains`.
-                if !ptr.is_null() && unsafe { (*ptr).as_slice() } == unsafe { (*boxed).as_slice() } {
+                if self.keys[slot].get().is_some_and(|k| *k == key) {
                     // Another thread proved the same state dead first.
-                    drop(unsafe { Box::from_raw(boxed) });
                     return;
                 }
                 continue;
@@ -158,36 +135,15 @@ impl MemoTable {
             if seen != 0 {
                 continue;
             }
-            match self.keys[slot].compare_exchange(
-                std::ptr::null_mut(),
-                boxed,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
+            match self.keys[slot].set(key) {
+                Ok(()) => {
                     // Slot claimed; publish the tag so readers find it.
                     self.tags[slot].store(tag, Ordering::Release);
                     return;
                 }
-                Err(_) => {
-                    // Lost the claim race; try the next slot with the
-                    // same allocation.
-                    continue;
-                }
-            }
-        }
-        drop(unsafe { Box::from_raw(boxed) });
-    }
-}
-
-impl Drop for MemoTable {
-    fn drop(&mut self) {
-        for k in &self.keys {
-            let ptr = k.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                // Safety: pointers come from `Box::into_raw` and each is
-                // reachable from exactly one slot.
-                drop(unsafe { Box::from_raw(ptr) });
+                // Lost the claim race; try the next slot with the same
+                // allocation.
+                Err(back) => key = back,
             }
         }
     }

@@ -21,8 +21,8 @@
 use std::time::{Duration, Instant};
 
 use capsys_model::{
-    Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, PhysicalGraph, Placement,
-    PlanEnumerator, PlanVisitor, TaskId,
+    fnv1a64_word, Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, PhysicalGraph,
+    Placement, PlanEnumerator, PlanVisitor, TaskId,
 };
 use capsys_util::fixed::Fixed64;
 
@@ -522,19 +522,19 @@ impl<'a> CapsVisitor<'a> {
         let setup = self.memo.expect("state_hash without memo");
         let open = &setup.open_ops[layer];
         let mut acc = 0u64;
-        for w in 0..self.num_workers {
-            let mut h = fnv1a64(&[remaining[w] as u64]);
+        for (w, &rem) in remaining.iter().enumerate().take(self.num_workers) {
+            let mut h = fnv1a64(&[rem as u64]);
             for dim in 0..3 {
-                h = crate::memo::fnv1a64_word(h, self.load[w][dim].to_bits() as u64);
+                h = fnv1a64_word(h, self.load[w][dim].to_bits() as u64);
             }
             for &q in open {
-                h = crate::memo::fnv1a64_word(h, self.cnt[q][w] as u64);
+                h = fnv1a64_word(h, self.cnt[q][w] as u64);
             }
             acc = acc.wrapping_add(h);
         }
         // Fold the layer in last so equal worker multisets at different
         // depths stay apart.
-        crate::memo::fnv1a64_word(acc, layer as u64)
+        fnv1a64_word(acc, layer as u64)
     }
 
     /// The canonical verify key for the same state: the layer, then the
@@ -750,7 +750,6 @@ impl<'a> CapsVisitor<'a> {
             }
         }
 
-        drop(add);
         self.delta_arena = arena;
         start
     }
@@ -851,8 +850,7 @@ impl PlanVisitor for CapsVisitor<'_> {
         // store limit admits equality, so plans tying the worst stored
         // cost survive.
         for &(w, d) in &self.delta_arena[start..] {
-            for dim in 0..3 {
-                let add = d[dim];
+            for (dim, &add) in d.iter().enumerate() {
                 if add > Fixed64::ZERO {
                     let next = self.load[w][dim] + add;
                     if next > self.bound[dim] || next > self.store_limit[dim] {

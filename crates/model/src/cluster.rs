@@ -97,103 +97,6 @@ impl WorkerSpec {
     }
 }
 
-/// Relative hardware multipliers describing one machine class of a
-/// heterogeneous fleet. A profile is applied to a base [`WorkerSpec`]
-/// to derive that class's capacities, so a mixed cluster is written as
-/// one base instance type plus a profile per worker:
-///
-/// ```
-/// use capsys_model::{Cluster, HardwareProfile, WorkerSpec};
-/// let base = WorkerSpec::r5d_xlarge(4);
-/// let cluster = Cluster::heterogeneous(vec![
-///     HardwareProfile::baseline().apply(base),
-///     HardwareProfile::slow_cpu().apply(base),
-///     HardwareProfile::hdd().apply(base),
-///     HardwareProfile::wan(0.04).apply(base),
-/// ]).unwrap();
-/// assert_eq!(cluster.num_workers(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardwareProfile {
-    /// CPU speed multiplier (fast cores > 1, slow cores < 1).
-    pub cpu_mult: f64,
-    /// Disk bandwidth multiplier (HDD ≪ 1 vs the SSD baseline).
-    pub disk_mult: f64,
-    /// NIC bandwidth multiplier (WAN uplinks ≪ 1).
-    pub net_mult: f64,
-    /// One-way link latency to the rest of the fleet, seconds.
-    pub link_latency: f64,
-}
-
-impl HardwareProfile {
-    /// The reference machine: multipliers of 1, datacenter-local link.
-    pub fn baseline() -> Self {
-        HardwareProfile {
-            cpu_mult: 1.0,
-            disk_mult: 1.0,
-            net_mult: 1.0,
-            link_latency: 0.0,
-        }
-    }
-
-    /// A newer-generation CPU: 1.5x the base clock-for-clock throughput.
-    pub fn fast_cpu() -> Self {
-        HardwareProfile {
-            cpu_mult: 1.5,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// An older or thermally-throttled CPU at half the base speed.
-    pub fn slow_cpu() -> Self {
-        HardwareProfile {
-            cpu_mult: 0.5,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// Spinning disks instead of NVMe: a quarter of the base bandwidth.
-    pub fn hdd() -> Self {
-        HardwareProfile {
-            disk_mult: 0.25,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// A WAN-attached edge worker: a tenth of the base NIC bandwidth
-    /// plus the given one-way link latency in seconds.
-    pub fn wan(link_latency: f64) -> Self {
-        HardwareProfile {
-            net_mult: 0.1,
-            link_latency,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// Derives this class's spec from a base instance type. Slots are
-    /// unchanged: heterogeneity is speed, not slot count.
-    pub fn apply(&self, base: WorkerSpec) -> WorkerSpec {
-        WorkerSpec {
-            slots: base.slots,
-            cpu_cores: base.cpu_cores * self.cpu_mult,
-            disk_bandwidth: base.disk_bandwidth * self.disk_mult,
-            network_bandwidth: base.network_bandwidth * self.net_mult,
-            link_latency: base.link_latency + self.link_latency,
-        }
-    }
-
-    /// Whether every multiplier is finite and positive and the latency
-    /// finite and non-negative.
-    pub fn is_valid(&self) -> bool {
-        let pos = |v: f64| v.is_finite() && v > 0.0;
-        pos(self.cpu_mult)
-            && pos(self.disk_mult)
-            && pos(self.net_mult)
-            && self.link_latency.is_finite()
-            && self.link_latency >= 0.0
-    }
-}
-
 /// One worker node in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Worker {
@@ -241,6 +144,14 @@ impl Cluster {
     /// hardware heterogeneity is speed (CPU multipliers, HDD vs SSD
     /// bandwidth, WAN links), not shape — the slot grid the placement
     /// search enumerates stays uniform.
+    ///
+    /// ```
+    /// use capsys_model::{Cluster, WorkerSpec};
+    /// let base = WorkerSpec::r5d_xlarge(4);
+    /// let slow_cpu = WorkerSpec { cpu_cores: base.cpu_cores * 0.5, ..base };
+    /// let cluster = Cluster::heterogeneous(vec![base, slow_cpu]).unwrap();
+    /// assert!(cluster.is_heterogeneous());
+    /// ```
     pub fn heterogeneous(specs: Vec<WorkerSpec>) -> Result<Cluster, ModelError> {
         let Some(first) = specs.first() else {
             return Err(ModelError::InvalidParameter(
@@ -364,10 +275,20 @@ mod tests {
     fn heterogeneous_cluster_applies_profiles() {
         let base = WorkerSpec::r5d_xlarge(4);
         let c = Cluster::heterogeneous(vec![
-            HardwareProfile::baseline().apply(base),
-            HardwareProfile::fast_cpu().apply(base),
-            HardwareProfile::hdd().apply(base),
-            HardwareProfile::wan(0.04).apply(base),
+            base,
+            WorkerSpec {
+                cpu_cores: base.cpu_cores * 1.5,
+                ..base
+            },
+            WorkerSpec {
+                disk_bandwidth: base.disk_bandwidth * 0.25,
+                ..base
+            },
+            WorkerSpec {
+                network_bandwidth: base.network_bandwidth * 0.1,
+                link_latency: 0.04,
+                ..base
+            },
         ])
         .unwrap();
         assert!(c.is_heterogeneous());
@@ -391,19 +312,6 @@ mod tests {
         let mut bad = WorkerSpec::r5d_xlarge(4);
         bad.link_latency = f64::NAN;
         assert!(Cluster::heterogeneous(vec![bad]).is_err());
-    }
-
-    #[test]
-    fn hardware_profiles_validate() {
-        assert!(HardwareProfile::baseline().is_valid());
-        assert!(HardwareProfile::fast_cpu().is_valid());
-        assert!(HardwareProfile::slow_cpu().is_valid());
-        assert!(HardwareProfile::hdd().is_valid());
-        assert!(HardwareProfile::wan(0.08).is_valid());
-        assert!(!HardwareProfile::wan(f64::NAN).is_valid());
-        let mut p = HardwareProfile::baseline();
-        p.cpu_mult = 0.0;
-        assert!(!p.is_valid());
     }
 
     #[test]

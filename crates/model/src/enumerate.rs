@@ -181,16 +181,6 @@ impl PlanEnumerator {
         }
     }
 
-    /// Limits the outer search to the first `depth` operators.
-    ///
-    /// Leaves then correspond to *partial* placement plans covering only
-    /// the first `depth` operators of the exploration order. Used to
-    /// generate work units for the parallel CAPS search.
-    pub fn with_depth_limit(mut self, depth: usize) -> PlanEnumerator {
-        self.depth_limit = Some(depth.min(self.op_order.len()));
-        self
-    }
-
     /// Enumerates all partial assignments of the first `depth` operators.
     ///
     /// Each returned prefix is a list of per-layer rows: `prefix[k][w]` is
@@ -537,8 +527,10 @@ fn fnv1a64_seed(seed: u64) -> u64 {
     fnv1a64_word(0xcbf2_9ce4_8422_2325, seed)
 }
 
-/// One FNV-1a step over the eight little-endian bytes of `word`.
-fn fnv1a64_word(mut h: u64, word: u64) -> u64 {
+/// One FNV-1a step over the eight little-endian bytes of `word`, the
+/// building block of the canonical state hashes of the enumerator and
+/// the search's dead-state memo.
+pub fn fnv1a64_word(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -930,15 +922,6 @@ mod tests {
             e.explore_with_prefix(&pre, &mut v);
             assert_eq!(v.0, 0);
         }
-    }
-
-    #[test]
-    fn depth_limit_zero_reports_single_empty_leaf() {
-        let p = chain(&[2, 2]);
-        let c = cluster(2, 2);
-        let e = PlanEnumerator::new(&p, &c).unwrap().with_depth_limit(0);
-        let stats = e.explore(&mut CountOnly);
-        assert_eq!(stats.plans, 1);
     }
 
     #[test]

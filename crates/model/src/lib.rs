@@ -33,9 +33,10 @@ pub mod placement;
 pub mod rates;
 pub mod skew;
 
-pub use cluster::{Cluster, HardwareProfile, Worker, WorkerId, WorkerSpec};
+pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use enumerate::{
-    count_plans, enumerate_plans, refine_groups, PlanEnumerator, PlanVisitor, SearchStats,
+    count_plans, enumerate_plans, fnv1a64_word, refine_groups, PlanEnumerator, PlanVisitor,
+    SearchStats,
 };
 pub use error::ModelError;
 pub use load::{LoadModel, TaskLoad};

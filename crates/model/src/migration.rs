@@ -118,11 +118,6 @@ impl StateModel {
         self.bytes[t.0]
     }
 
-    /// Total state bytes across all tasks.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
     /// Number of tasks the model covers.
     pub fn num_tasks(&self) -> usize {
         self.bytes.len()
@@ -246,15 +241,6 @@ impl PlanDiff {
                 .collect(),
         }
     }
-
-    /// A diff holding only the first `n` waves of `wave_size` moves —
-    /// the prefix a controller had applied when it was interrupted.
-    pub fn prefix_waves(&self, wave_size: usize, n: usize) -> PlanDiff {
-        let take = wave_size.max(1).saturating_mul(n).min(self.moves.len());
-        PlanDiff {
-            moves: self.moves[..take].to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +291,8 @@ mod tests {
         for t in p.operator_tasks(OperatorId(0)).chain(p.operator_tasks(OperatorId(2))) {
             assert_eq!(sm.state_bytes(TaskId(t)), 0);
         }
-        assert_eq!(sm.total_bytes(), 500_000_000);
+        let total: u64 = (0..p.num_tasks()).map(|t| sm.state_bytes(TaskId(t))).sum();
+        assert_eq!(total, 500_000_000);
         assert_eq!(sm.num_tasks(), p.num_tasks());
     }
 
@@ -412,8 +399,12 @@ mod tests {
                 let a = Placement::new(xs.iter().map(|&w| WorkerId(w)).collect());
                 let b = Placement::new(ys.iter().map(|&w| WorkerId(w)).collect());
                 let d = PlanDiff::between(&a, &b, &sm).unwrap();
-                let ws = *ws;
-                let prefix = d.prefix_waves(ws, *k);
+                // The first k waves of ws moves: the prefix a controller
+                // had applied when it was interrupted.
+                let take = ws.saturating_mul(*k).min(d.moves().len());
+                let prefix = PlanDiff {
+                    moves: d.moves()[..take].to_vec(),
+                };
                 let partial = prefix.apply(&a);
                 // Reversal restores the incumbent exactly.
                 assert_eq!(prefix.reversed().apply(&partial), a);

@@ -82,11 +82,6 @@ pub struct OdrpConfig {
     /// exceeded the solver keeps its best placement so far and moves on
     /// (optimality is then reported as unproven).
     pub inner_node_budget: usize,
-    /// Queueing-utilization cap: utilizations above this are clamped so
-    /// that the M/M/1 response-time term stays finite. This reproduces
-    /// ODRP's documented flaw of admitting under-provisioned plans (the
-    /// model has no objective that *sustains* the input rate).
-    pub utilization_cap: f64,
 }
 
 impl Default for OdrpConfig {
@@ -98,17 +93,6 @@ impl Default for OdrpConfig {
             link_latency: 0.5e-3,
             availability: 1.0,
             inner_node_budget: 200_000,
-            utilization_cap: 0.95,
-        }
-    }
-}
-
-impl OdrpConfig {
-    /// A config with the given weights and otherwise default settings.
-    pub fn with_weights(weights: OdrpWeights) -> Self {
-        OdrpConfig {
-            weights,
-            ..OdrpConfig::default()
         }
     }
 }
@@ -141,12 +125,5 @@ mod tests {
             availability: 0.0,
         };
         assert!(!w.is_valid());
-    }
-
-    #[test]
-    fn config_builder() {
-        let c = OdrpConfig::with_weights(OdrpWeights::latency());
-        assert_eq!(c.weights, OdrpWeights::latency());
-        assert!(c.utilization_cap < 1.0);
     }
 }

@@ -21,6 +21,12 @@ use capsys_model::{
 use crate::config::OdrpConfig;
 use crate::OdrpError;
 
+/// Queueing-utilization cap: utilizations above this are clamped so that
+/// the M/M/1 response-time term stays finite. This reproduces ODRP's
+/// documented flaw of admitting under-provisioned plans (the model has
+/// no objective that *sustains* the input rate).
+const UTILIZATION_CAP: f64 = 0.95;
+
 /// The individual objective values of a candidate solution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObjectiveBreakdown {
@@ -138,7 +144,7 @@ impl ObjectiveModel {
         if !mu.is_finite() {
             return 0.0;
         }
-        let cap = self.config.utilization_cap;
+        let cap = UTILIZATION_CAP;
         let rho = self.op_input[op] / (p as f64 * mu);
         if rho < cap {
             (1.0 / mu) / (1.0 - rho)

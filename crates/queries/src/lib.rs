@@ -585,7 +585,6 @@ mod tests {
 
     #[test]
     fn heterogeneous_capacity_rate_is_bottlenecked_by_the_slow_worker() {
-        use capsys_model::HardwareProfile;
         let base = WorkerSpec::r5d_xlarge(4);
         let uniform = q1_sliding().capacity_rate(&r5d_4x4(), 0.92).unwrap();
         // One slow-CPU worker drags the sustainable rate down; one
@@ -595,7 +594,10 @@ mod tests {
             base,
             base,
             base,
-            HardwareProfile::slow_cpu().apply(base),
+            WorkerSpec {
+                cpu_cores: base.cpu_cores * 0.5,
+                ..base
+            },
         ])
         .unwrap();
         let slow_rate = q1_sliding().capacity_rate(&slow, 0.92).unwrap();
@@ -607,7 +609,10 @@ mod tests {
             base,
             base,
             base,
-            HardwareProfile::fast_cpu().apply(base),
+            WorkerSpec {
+                cpu_cores: base.cpu_cores * 1.5,
+                ..base
+            },
         ])
         .unwrap();
         let fast_rate = q1_sliding().capacity_rate(&fast, 0.92).unwrap();

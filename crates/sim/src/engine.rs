@@ -30,7 +30,7 @@ use capsys_model::{
 use capsys_util::rng::SmallRng;
 use capsys_util::rng::{Rng, SeedableRng};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, METRICS_INTERVAL};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::metrics::{MetricPoint, SimulationReport, SourceStats, TaskRateStats};
@@ -44,6 +44,22 @@ const BACKPRESSURE_SLACK: f64 = 0.99;
 /// Residual bytes below which a state-transfer flow counts as drained,
 /// absorbing float round-off from per-tick bandwidth slicing.
 const TRANSFER_EPS: f64 = 1e-9;
+
+/// Minimum capacity of each inter-task channel queue, in records. The
+/// effective capacity of a channel is
+/// `max(QUEUE_CAPACITY, peak channel rate x BUFFER_SECS)`: queues are
+/// sized in *time*, the buffer-debloating behaviour the paper enables on
+/// its Flink clusters (§3.1).
+const QUEUE_CAPACITY: f64 = 500.0;
+
+/// Target buffered time per channel, seconds.
+const BUFFER_SECS: f64 = 1.0;
+
+/// Period of CPU-burst cycles (garbage-collection analogue), seconds.
+const BURST_PERIOD: f64 = 10.0;
+
+/// Fraction of each burst period during which the burst is active.
+const BURST_DUTY: f64 = 0.2;
 
 /// Static, per-task simulation state.
 #[derive(Debug, Clone)]
@@ -175,13 +191,10 @@ pub struct Simulation {
     /// Per-worker CPU-cost multiplier (1.0 = healthy, > 1 = straggler).
     slowdown: Vec<f64>,
     /// Per-worker cross-job contention multiplier (1.0 = uncontended,
-    /// > 1 = co-located tenants are stealing cycles). Composes
+    /// above 1 = co-located tenants are stealing cycles). Composes
     /// multiplicatively with `slowdown`: chaos stragglers and tenant
     /// contention are independent effects.
     contention: Vec<f64>,
-    /// Per-worker NIC-bandwidth multiplier (1.0 = healthy, < 1 = a
-    /// degraded link).
-    net_degrade: Vec<f64>,
     /// Per-worker network-partition flags. A partitioned worker keeps
     /// running, but its cross-worker channels freeze and its heartbeat
     /// goes missing from reports.
@@ -259,7 +272,7 @@ impl Simulation {
 
         // Size each channel queue by the time it should buffer (the
         // buffer-debloating analogue): capacity = peak channel rate x
-        // buffer_secs, floored at `queue_capacity` records.
+        // BUFFER_SECS, floored at QUEUE_CAPACITY records.
         let peak_rates: HashMap<OperatorId, f64> = schedules
             .iter()
             .map(|(&op, s)| (op, s.peak_rate()))
@@ -278,7 +291,7 @@ impl Simulation {
                 ConnectionPattern::Broadcast => 1.0,
                 _ => 1.0 / n_channels,
             };
-            let cap = (out_rate * share * config.buffer_secs).max(config.queue_capacity);
+            let cap = (out_rate * share * BUFFER_SECS).max(QUEUE_CAPACITY);
             channels.push(ChannelState { q: 0.0, cap });
         }
 
@@ -399,7 +412,6 @@ impl Simulation {
             failed: vec![false; workers.len()],
             slowdown: vec![1.0; workers.len()],
             contention: vec![1.0; workers.len()],
-            net_degrade: vec![1.0; workers.len()],
             partitioned: vec![false; workers.len()],
             shed_fraction: 0.0,
             link_lats,
@@ -487,24 +499,6 @@ impl Simulation {
     /// Per-worker cross-job contention multipliers (1.0 = uncontended).
     pub fn contentions(&self) -> &[f64] {
         &self.contention
-    }
-
-    /// Sets a worker's NIC-bandwidth multiplier, clamped into
-    /// `(0, 1]` (`1.0` = healthy link). Used by controllers re-applying
-    /// chaos state after a redeployment.
-    pub fn set_net_degrade(&mut self, w: capsys_model::WorkerId, factor: f64) {
-        if let Some(d) = self.net_degrade.get_mut(w.0) {
-            *d = if factor.is_finite() {
-                factor.clamp(1e-6, 1.0)
-            } else {
-                1.0
-            };
-        }
-    }
-
-    /// Per-worker NIC-bandwidth multipliers (1.0 = healthy).
-    pub fn net_degrades(&self) -> &[f64] {
-        &self.net_degrade
     }
 
     /// Forces a worker's network-partition flag. Used by controllers
@@ -701,12 +695,7 @@ impl Simulation {
             return;
         };
         let mut budget_io: Vec<f64> = self.workers.iter().map(|w| w.io * tick).collect();
-        let mut budget_net: Vec<f64> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(w, c)| c.net * self.net_degrade[w] * tick)
-            .collect();
+        let mut budget_net: Vec<f64> = self.workers.iter().map(|w| w.net * tick).collect();
         let mut all_done = true;
         for flow in flows.iter_mut() {
             if flow.remaining <= 0.0 {
@@ -856,16 +845,6 @@ impl Simulation {
                 }
                 FaultKind::BlackoutStart => self.blackout = true,
                 FaultKind::BlackoutEnd => self.blackout = false,
-                FaultKind::LinkDegradeStart { worker, factor } => {
-                    if let Some(d) = self.net_degrade.get_mut(worker.0) {
-                        *d = factor.clamp(1e-6, 1.0);
-                    }
-                }
-                FaultKind::LinkDegradeEnd(w) => {
-                    if let Some(d) = self.net_degrade.get_mut(w.0) {
-                        *d = 1.0;
-                    }
-                }
                 FaultKind::PartitionStart(w) => {
                     if let Some(p) = self.partitioned.get_mut(w.0) {
                         *p = true;
@@ -915,7 +894,7 @@ impl Simulation {
     pub fn advance(&mut self, duration: f64, warmup: f64) -> SimulationReport {
         let tick = self.config.tick;
         let steps = (duration / tick).round().max(1.0) as usize;
-        let interval_steps = (self.config.metrics_interval / tick).round().max(1.0) as usize;
+        let interval_steps = (METRICS_INTERVAL / tick).round().max(1.0) as usize;
         let warmup_steps = (warmup / tick).round() as usize;
 
         let n_workers = self.workers.len();
@@ -928,7 +907,7 @@ impl Simulation {
             self.step_into(&mut interval);
             if step >= warmup_steps {
                 // Merge the tick we just recorded into the report window.
-                merge_last_tick(&mut report, &interval, self);
+                merge_last_tick(&mut report, self);
             }
             if (step + 1) % interval_steps == 0 || step + 1 == steps {
                 points.push(self.flush_point(&mut interval));
@@ -990,8 +969,7 @@ impl Simulation {
 
         // Effective per-record CPU cost: bursts, straggler slowdown,
         // plus optional jitter.
-        let burst_on =
-            (t % self.config.burst_period) < self.config.burst_duty * self.config.burst_period;
+        let burst_on = (t % BURST_PERIOD) < BURST_DUTY * BURST_PERIOD;
         for (i, task) in self.tasks.iter().enumerate() {
             let mut u = task.cpu_unit
                 * self.slowdown[task.worker]
@@ -1126,7 +1104,7 @@ impl Simulation {
             acc.cpu_use[w] += x * self.cpu_eff[i] / (self.workers[w].cpu * tick) * tick;
             acc.io_use[w] += x * task.io_unit / (self.workers[w].io * tick) * tick;
             acc.net_use[w] +=
-                x * task.net_unit / (self.workers[w].net * self.net_degrade[w] * tick) * tick;
+                x * task.net_unit / (self.workers[w].net * tick) * tick;
             // Records crossing high-latency links spend extra time in
             // flight (0 for datacenter-local links).
             acc.in_flight_time += x * task.lat_unit;
@@ -1134,7 +1112,7 @@ impl Simulation {
         // State draining shows up as real disk/NIC utilization.
         for w in 0..self.workers.len() {
             acc.io_use[w] += self.drain_io[w] / self.workers[w].io;
-            acc.net_use[w] += self.drain_net[w] / (self.workers[w].net * self.net_degrade[w]);
+            acc.net_use[w] += self.drain_net[w] / self.workers[w].net;
         }
         acc.in_flight_time += self.in_flight() * tick;
 
@@ -1168,7 +1146,7 @@ impl Simulation {
                 t.io_unit
             }),
             (
-                (caps.net * self.net_degrade[w] * tick - self.drain_net[w]).max(0.0),
+                (caps.net * tick - self.drain_net[w]).max(0.0),
                 |t, _| t.net_unit,
             ),
         ];
@@ -1318,13 +1296,6 @@ impl Simulation {
         }
     }
 
-    /// Drains all channel queues, as a restart-from-savepoint analogue.
-    pub fn drain_queues(&mut self) {
-        for c in &mut self.channels {
-            c.q = 0.0;
-        }
-    }
-
     /// Queue occupancy of every channel, for invariant checks.
     pub fn queue_occupancies(&self) -> Vec<f64> {
         self.channels.iter().map(|c| c.q).collect()
@@ -1351,12 +1322,12 @@ impl TaskState {
     }
 }
 
-/// Merges the newest tick of `interval` into `report`.
+/// Merges the newest tick into `report`.
 ///
 /// `step_into` writes into the interval accumulator only; to avoid double
 /// bookkeeping the engine re-derives the per-tick deltas from the last
 /// tick's rates, which are still in the scratch buffers.
-fn merge_last_tick(report: &mut WindowAcc, _interval: &WindowAcc, sim: &Simulation) {
+fn merge_last_tick(report: &mut WindowAcc, sim: &Simulation) {
     let tick = sim.config.tick;
     let t = sim.time - tick;
     report.time += tick;
@@ -1383,12 +1354,12 @@ fn merge_last_tick(report: &mut WindowAcc, _interval: &WindowAcc, sim: &Simulati
         let w = task.worker;
         report.cpu_use[w] += x * sim.cpu_eff[i] / sim.workers[w].cpu;
         report.io_use[w] += x * task.io_unit / sim.workers[w].io;
-        report.net_use[w] += x * task.net_unit / (sim.workers[w].net * sim.net_degrade[w]);
+        report.net_use[w] += x * task.net_unit / sim.workers[w].net;
         report.in_flight_time += x * task.lat_unit;
     }
     for w in 0..sim.workers.len() {
         report.io_use[w] += sim.drain_io[w] / sim.workers[w].io;
-        report.net_use[w] += sim.drain_net[w] / (sim.workers[w].net * sim.net_degrade[w]);
+        report.net_use[w] += sim.drain_net[w] / sim.workers[w].net;
     }
     report.in_flight_time += sim.in_flight() * tick;
 }
@@ -1862,8 +1833,6 @@ mod tests {
         sim.advance(10.0, 0.0);
         assert!((sim.time() - t1 - 10.0).abs() < 1e-9);
         assert!(inflight > 0.0, "bottleneck should leave records in flight");
-        sim.drain_queues();
-        assert_eq!(sim.in_flight(), 0.0);
     }
 
     #[test]
@@ -2283,42 +2252,6 @@ mod tests {
     }
 
     #[test]
-    fn link_degrade_throttles_cross_worker_traffic() {
-        // 1 MB/record at 200 rec/s over a 1 GB/s NIC: uncontended until
-        // the link degrades to 10% (100 MB/s -> 100 rec/s).
-        let big = ResourceProfile::new(1e-6, 0.0, 1e6, 1.0);
-        let c = Cluster::homogeneous(2, WorkerSpec::new(4, 4.0, 1e9, 1e9)).unwrap();
-        let ops = [
-            (OperatorKind::Source, 1, big),
-            (
-                OperatorKind::Sink,
-                1,
-                ResourceProfile::new(1e-6, 0.0, 0.0, 1.0),
-            ),
-        ];
-        let (g, p, remote, sch) = build(&ops, &c, &[0, 1], 200.0);
-        let mut sim = Simulation::new(&g, &p, &c, &remote, &sch, SimConfig::short()).unwrap();
-        let before = sim.advance(20.0, 5.0);
-        assert!(before.meets_target(0.95));
-        sim.set_net_degrade(WorkerId(0), 0.1);
-        assert_eq!(sim.net_degrades()[0], 0.1);
-        let during = sim.advance(20.0, 5.0);
-        assert!(
-            (during.avg_throughput - 100.0).abs() / 100.0 < 0.15,
-            "degraded link should cap at ~100 rec/s, got {}",
-            during.avg_throughput
-        );
-        assert!(
-            during.worker_net_util[0] > 0.9,
-            "utilization is measured against the degraded cap: {}",
-            during.worker_net_util[0]
-        );
-        sim.set_net_degrade(WorkerId(0), 1.0);
-        let after = sim.advance(20.0, 5.0);
-        assert!(after.meets_target(0.95), "tp {}", after.avg_throughput);
-    }
-
-    #[test]
     fn shedding_cuts_admission_without_backpressure() {
         // Capacity ~500 rec/s at an offered 1000: unshedded the source
         // backpressures; shedding 60% admits 400 < 500 and the
@@ -2409,9 +2342,11 @@ mod tests {
 
     #[test]
     fn heterogeneous_workers_differ_in_capacity() {
-        use capsys_model::HardwareProfile;
         let base = WorkerSpec::new(4, 1.0, 100e6, 1e9);
-        let slow = HardwareProfile::slow_cpu().apply(base);
+        let slow = WorkerSpec {
+            cpu_cores: base.cpu_cores * 0.5,
+            ..base
+        };
         let c = Cluster::heterogeneous(vec![base, slow]).unwrap();
         let ops = [
             (
@@ -2454,8 +2389,8 @@ mod tests {
 
     #[test]
     fn idle_hostile_knobs_leave_the_run_byte_identical() {
-        // Setting shed to zero, degrade to one, and partition to false
-        // must be arithmetic no-ops, not merely approximate ones —
+        // Setting shed to zero and partition to false must be
+        // arithmetic no-ops, not merely approximate ones —
         // replay byte-determinism depends on it.
         let c = Cluster::homogeneous(2, worker(4.0)).unwrap();
         let (g, p, plan, sch) = transfer_fixture(&c);
@@ -2463,7 +2398,6 @@ mod tests {
         let mut a = Simulation::new(&g, &p, &c, &plan, &sch, cfg.clone()).unwrap();
         let mut b = Simulation::new(&g, &p, &c, &plan, &sch, cfg).unwrap();
         b.set_shed_fraction(0.0);
-        b.set_net_degrade(WorkerId(0), 1.0);
         b.set_partitioned(WorkerId(1), false);
         let ra = a.run();
         let rb = b.run();

@@ -232,10 +232,8 @@ mod tests {
             }
             for i in 0..N {
                 w.push(i);
-                if i % 3 == 0 {
-                    if w.pop().is_some() {
-                        popped.fetch_add(1, Ordering::Relaxed);
-                    }
+                if i % 3 == 0 && w.pop().is_some() {
+                    popped.fetch_add(1, Ordering::Relaxed);
                 }
             }
             // Drain whatever the thieves left behind.

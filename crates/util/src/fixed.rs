@@ -29,7 +29,7 @@
 //! a shortest-float rendering.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
 
@@ -125,12 +125,6 @@ impl Fixed64 {
         i64::try_from(wide).ok().map(Fixed64)
     }
 
-    /// Full fixed-point multiply via `i128`, truncating the extra 32
-    /// fractional bits toward negative infinity, saturating.
-    pub fn mul(self, rhs: Fixed64) -> Fixed64 {
-        Fixed64(saturate((self.0 as i128 * rhs.0 as i128) >> Self::SCALE_BITS))
-    }
-
     /// Full fixed-point divide via `i128`, truncating toward zero,
     /// saturating. `None` when `rhs` is zero.
     pub fn checked_div(self, rhs: Fixed64) -> Option<Fixed64> {
@@ -188,6 +182,15 @@ impl Sub for Fixed64 {
 impl SubAssign for Fixed64 {
     fn sub_assign(&mut self, rhs: Fixed64) {
         *self = self.saturating_sub(rhs);
+    }
+}
+
+/// Full fixed-point multiply via `i128`, truncating the extra 32
+/// fractional bits toward negative infinity, saturating.
+impl Mul for Fixed64 {
+    type Output = Fixed64;
+    fn mul(self, rhs: Fixed64) -> Fixed64 {
+        Fixed64(saturate((self.0 as i128 * rhs.0 as i128) >> Self::SCALE_BITS))
     }
 }
 
@@ -287,9 +290,9 @@ mod tests {
         assert_eq!(Fixed64::MIN - Fixed64::ONE, Fixed64::MIN);
         assert_eq!(Fixed64::MAX.mul_int(2), Fixed64::MAX);
         assert_eq!(Fixed64::MIN.mul_int(2), Fixed64::MIN);
-        assert_eq!(Fixed64::MAX.mul(Fixed64::MAX), Fixed64::MAX);
-        assert_eq!(Fixed64::MAX.mul(-Fixed64::ONE), Fixed64::from_bits(-i64::MAX));
-        assert_eq!(Fixed64::MIN.mul(Fixed64::from_int(2)), Fixed64::MIN);
+        assert_eq!(Fixed64::MAX * Fixed64::MAX, Fixed64::MAX);
+        assert_eq!(Fixed64::MAX * -Fixed64::ONE, Fixed64::from_bits(-i64::MAX));
+        assert_eq!(Fixed64::MIN * Fixed64::from_int(2), Fixed64::MIN);
         assert_eq!(-Fixed64::MIN, Fixed64::MAX);
         assert_eq!(Fixed64::MIN.abs(), Fixed64::MAX);
         assert_eq!(Fixed64::from_int(i64::MAX), Fixed64::MAX);

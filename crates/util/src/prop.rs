@@ -30,6 +30,9 @@ use std::sync::Once;
 
 use crate::rng::{Rng, SeedableRng, SmallRng};
 
+/// Maximum number of shrink candidates to evaluate after a failure.
+const MAX_SHRINK_STEPS: usize = 512;
+
 /// Runner configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -37,8 +40,6 @@ pub struct Config {
     pub cases: usize,
     /// Base seed for case-seed derivation.
     pub seed: u64,
-    /// Maximum number of shrink candidates to evaluate after a failure.
-    pub max_shrink_steps: usize,
 }
 
 impl Default for Config {
@@ -50,7 +51,6 @@ impl Default for Config {
         Config {
             cases,
             seed: 0xCA95_0001,
-            max_shrink_steps: 512,
         }
     }
 }
@@ -208,7 +208,7 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
                 out.push(value[..half].to_vec());
             }
             for i in (0..value.len()).rev() {
-                if value.len() - 1 >= self.min_len {
+                if value.len() > self.min_len {
                     let mut smaller = value.clone();
                     smaller.remove(i);
                     out.push(smaller);
@@ -359,7 +359,7 @@ pub fn forall<S: Strategy>(name: &str, config: Config, strategy: S, test: impl F
         // candidate scan from the smaller value.
         let mut minimal = value;
         let mut failure = original_failure;
-        let mut budget = config.max_shrink_steps;
+        let mut budget = MAX_SHRINK_STEPS;
         'shrinking: while budget > 0 {
             for candidate in strategy.shrink(&minimal) {
                 budget -= 1;
@@ -440,7 +440,7 @@ mod tests {
                 |&(x,)| assert!(x < 17, "x was {x}"),
             );
         }));
-        let msg = panic_message(result.unwrap_err().into());
+        let msg = panic_message(result.unwrap_err());
         assert!(msg.contains("failing seed"), "no seed in: {msg}");
         assert!(msg.contains("CAPSYS_PROP_SEED="), "no replay hint: {msg}");
         // Shrinking must land on the minimal counterexample, 17.
@@ -454,10 +454,10 @@ mod tests {
                 "short-vecs-fail",
                 Config::default().cases(64),
                 (vec_of(ints(0usize..10), 0..=20),),
-                |&(ref v,)| assert!(v.len() < 3),
+                |(v,)| assert!(v.len() < 3),
             );
         }));
-        let msg = panic_message(result.unwrap_err().into());
+        let msg = panic_message(result.unwrap_err());
         // Minimal failing vector has exactly 3 elements, each shrunk to 0.
         assert!(
             msg.contains("minimal input: ([0, 0, 0],)"),

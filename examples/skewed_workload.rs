@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Skew-aware CAPS: split the window into 3 placement groups and
     // place the derived problem.
-    let skewed = apply_skew(query.logical(), &[spec.clone()], 3)?;
+    let skewed = apply_skew(query.logical(), std::slice::from_ref(&spec), 3)?;
     let derived_query = Query::new(skewed.logical.clone(), {
         // Same source mix, mapped onto the derived graph (sources are
         // never split).

@@ -11,7 +11,8 @@
 #   3. panic lint — no unwrap()/expect(/panic! in non-test code under
 #      crates/, outside the justified scripts/panic_allowlist.txt, and
 #      no allowlist entry that matches no tracked file;
-#   4. release build of every target;
+#   4. release build of every target, then clippy over every target
+#      with warnings denied;
 #   5. full test suite (debug), including the determinism golden test;
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
@@ -180,6 +181,10 @@ step_done
 
 step "4/15" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
+step_done
+
+step "4b/15" "clippy (all targets, warnings denied)"
+cargo clippy --workspace --all-targets -- -D warnings
 step_done
 
 step "5/15" "cargo test (debug, full workspace)"
